@@ -274,6 +274,39 @@ func TestLogFaultsCleanAndDirtyAppend(t *testing.T) {
 	}
 }
 
+// TestLogFaultsStagedAppend: the wrapper stays a stable.BatchLog, and a
+// staged append takes the same fault rolls as a durable one — a clean
+// failure writes nothing, a dirty one writes the record — while Commit
+// forwards to the wrapped log.
+func TestLogFaultsStagedAppend(t *testing.T) {
+	inner := stable.NewMemLog(stable.Options{})
+	var bl stable.BatchLog = WrapLog(inner, 1, LogFaultRates{AppendFail: 1})
+	if _, err := bl.AppendNoSync([]byte("x")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("clean staged fail: err = %v", err)
+	}
+	if inner.Len() != 0 {
+		t.Fatalf("clean staged failure wrote a record: Len = %d", inner.Len())
+	}
+	dirty := WrapLog(inner, 1, LogFaultRates{AppendDirty: 1})
+	if _, err := dirty.AppendNoSync([]byte("y")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("dirty staged fail: err = %v", err)
+	}
+	if inner.Len() != 1 || dirty.FaultStats().AppendsDirty != 1 {
+		t.Fatalf("dirty staged failure must write the record: Len = %d, stats %+v", inner.Len(), dirty.FaultStats())
+	}
+	dirty.SetEnabled(false)
+	if _, err := dirty.AppendNoSync([]byte("z")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dirty.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// Two staged records, one forwarded Commit: one modeled sync.
+	if got := inner.Stats().Syncs; got != 1 {
+		t.Errorf("inner Syncs = %d, want 1 (Commit not forwarded?)", got)
+	}
+}
+
 func TestCrasherRespectsMaxAndSeed(t *testing.T) {
 	c := NewCrasher(5, 0.5, 3)
 	fires := 0

@@ -23,8 +23,9 @@ type LogFaultRates struct {
 	// replayed — the client must tolerate a request it thinks it rejected
 	// coming back to life (and must never reuse its sequence number).
 	AppendDirty float64
-	// RemoveFail fails a Remove; the record stays live and is replayed on
-	// recovery (the server's reply cache absorbs the duplicate).
+	// RemoveFail fails a Remove batch; its records stay live and are
+	// replayed on recovery (the server's reply cache absorbs the
+	// duplicate).
 	RemoveFail float64
 	// ReplayFail fails a Replay wholesale before yielding any record —
 	// modeling an unreadable or interior-corrupt log discovered at
@@ -42,21 +43,27 @@ type LogFaultStats struct {
 	ReplaysFailed int64
 }
 
-// Log decorates a stable.Log with seeded fault injection.
+// Log decorates a stable.Log with seeded fault injection. It is a
+// stable.BatchLog too, so engines that stage appends take their staged path
+// through the fault layer: over a BatchLog, AppendNoSync stages and Commit
+// forwards; over a plain Log, AppendNoSync is a durable Append and Commit
+// has nothing left to wait for.
 type Log struct {
 	mu      sync.Mutex
 	inner   stable.Log
+	batch   stable.BatchLog // inner as a BatchLog, or nil
 	rng     *rand.Rand
 	rates   LogFaultRates
 	enabled bool
 	stats   LogFaultStats
 }
 
-var _ stable.Log = (*Log)(nil)
+var _ stable.BatchLog = (*Log)(nil)
 
 // WrapLog builds a fault-injecting log around inner. It starts enabled.
 func WrapLog(inner stable.Log, seed int64, rates LogFaultRates) *Log {
-	return &Log{inner: inner, rng: rand.New(rand.NewSource(seed)), rates: rates, enabled: true}
+	bl, _ := inner.(stable.BatchLog)
+	return &Log{inner: inner, batch: bl, rng: rand.New(rand.NewSource(seed)), rates: rates, enabled: true}
 }
 
 // SetEnabled toggles injection (disable for a harness's drain phase).
@@ -75,6 +82,27 @@ func (l *Log) FaultStats() LogFaultStats {
 
 // Append implements stable.Log.
 func (l *Log) Append(rec []byte) (uint64, error) {
+	return l.append(rec, l.inner.Append)
+}
+
+// AppendNoSync implements stable.BatchLog with the same fault rolls as
+// Append: a dirty staged append writes the record and reports an error.
+func (l *Log) AppendNoSync(rec []byte) (uint64, error) {
+	if l.batch == nil {
+		return l.Append(rec)
+	}
+	return l.append(rec, l.batch.AppendNoSync)
+}
+
+// Commit implements stable.BatchLog.
+func (l *Log) Commit() error {
+	if l.batch == nil {
+		return nil
+	}
+	return l.batch.Commit()
+}
+
+func (l *Log) append(rec []byte, write func([]byte) (uint64, error)) (uint64, error) {
 	l.mu.Lock()
 	if l.enabled {
 		roll := l.rng.Float64()
@@ -86,7 +114,7 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 		if roll < l.rates.AppendFail+l.rates.AppendDirty {
 			l.stats.AppendsDirty++
 			l.mu.Unlock()
-			id, err := l.inner.Append(rec)
+			id, err := write(rec)
 			if err != nil {
 				return 0, err
 			}
@@ -94,19 +122,20 @@ func (l *Log) Append(rec []byte) (uint64, error) {
 		}
 	}
 	l.mu.Unlock()
-	return l.inner.Append(rec)
+	return write(rec)
 }
 
-// Remove implements stable.Log.
-func (l *Log) Remove(id uint64) error {
+// Remove implements stable.Log. One fault roll covers the whole batch: a
+// failed Remove leaves every record live.
+func (l *Log) Remove(ids ...uint64) error {
 	l.mu.Lock()
 	if l.enabled && l.rng.Float64() < l.rates.RemoveFail {
 		l.stats.RemovesFailed++
 		l.mu.Unlock()
-		return fmt.Errorf("%w: remove %d", ErrInjected, id)
+		return fmt.Errorf("%w: remove %v", ErrInjected, ids)
 	}
 	l.mu.Unlock()
-	return l.inner.Remove(id)
+	return l.inner.Remove(ids...)
 }
 
 // Replay implements stable.Log.

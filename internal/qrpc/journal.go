@@ -25,7 +25,9 @@ import (
 //   - ack records ('K') persist which replies the client acknowledged, so
 //     recovered state does not retain reply payloads forever;
 //   - prune records ('P') persist the LowSeq floor a Hello advertised, so
-//     recovery can discard idempotency state the client no longer needs;
+//     recovery can discard idempotency state the client no longer needs
+//     (ack and prune records are staged hints that ride the shard's next
+//     group commit; see journalSessionRecord);
 //   - snapshot records ('S') are written by compaction: one record holding
 //     the complete recovery state of every session the shard owns,
 //     superseding (and allowing removal of) everything journaled in that
@@ -76,7 +78,9 @@ import (
 // Journal appends ride the stable log's group commit (stable.FileLog's
 // leader-fsync waiter protocol), so within a shard N concurrent executes
 // share ~one fsync instead of paying N — the durability write is amortized
-// per shard and parallel across shards.
+// per shard and parallel across shards. Compaction removes the records a
+// snapshot supersedes in one durable Remove batch: one more fsync, not one
+// per record.
 
 // journalShard is one bucket of the sharded session journal.
 type journalShard struct {
@@ -263,12 +267,7 @@ func putSessionList(b *wire.Buffer, sessions map[string]*session) {
 		for _, seq := range seqs {
 			sess.replies[seq].MarshalWire(b)
 		}
-		acked := make([]uint64, 0, len(sess.acked))
-		for seq := range sess.acked {
-			acked = append(acked, seq)
-		}
-		sort.Slice(acked, func(i, j int) bool { return acked[i] < acked[j] })
-		b.PutUvarintSlice(acked)
+		b.PutUvarintSlice(sess.acked.appendTo(make([]uint64, 0, sess.acked.len())))
 	}
 }
 
@@ -278,12 +277,7 @@ func readSessionList(r *wire.Reader) (map[string]*session, error) {
 	sessions := make(map[string]*session, n)
 	for i := 0; i < n; i++ {
 		clientID := r.String()
-		sess := &session{
-			clientID:  clientID,
-			replies:   make(map[uint64]*Reply),
-			executing: make(map[uint64]bool),
-			acked:     make(map[uint64]bool),
-		}
+		sess := newSession(clientID)
 		sess.lowSeq = r.Uvarint()
 		sess.maxExec = r.Uvarint()
 		rn := r.Len()
@@ -295,7 +289,7 @@ func readSessionList(r *wire.Reader) (map[string]*session, error) {
 			sess.replies[rep.Seq] = rep
 		}
 		for _, seq := range r.UvarintSlice() {
-			sess.acked[seq] = true
+			sess.acked.add(seq)
 		}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("qrpc: corrupt snapshot record: %w", r.Err())
@@ -360,15 +354,11 @@ func (s *Server) recoverJournal() error {
 	recoveredReplies := 0
 	for _, sess := range s.sessions {
 		for seq := range sess.replies {
-			if seq < sess.lowSeq || sess.acked[seq] {
+			if seq < sess.lowSeq || sess.acked.has(seq) {
 				delete(sess.replies, seq)
 			}
 		}
-		for seq := range sess.acked {
-			if seq < sess.lowSeq {
-				delete(sess.acked, seq)
-			}
-		}
+		sess.acked.pruneBelow(sess.lowSeq)
 		sess.replyBytes = 0
 		for _, rep := range sess.replies {
 			sess.replyBytes += replyApproxSize(rep)
@@ -396,8 +386,8 @@ func mergeSessionState(dst, src *session) {
 	if src.maxExec > dst.maxExec {
 		dst.maxExec = src.maxExec
 	}
-	for seq := range src.acked {
-		dst.acked[seq] = true
+	for _, seq := range src.acked.appendTo(nil) {
+		dst.acked.add(seq)
 	}
 	for seq, rep := range src.replies {
 		if _, ok := dst.replies[seq]; !ok {
@@ -465,10 +455,8 @@ func (s *Server) compactShardAtRecovery(idx int) error {
 	}
 	prev := sh.ids
 	sh.ids = []uint64{sid}
-	for _, old := range prev {
-		if rerr := sh.log.Remove(old); rerr != nil && !errors.Is(rerr, stable.ErrNotFound) {
-			sh.ids = append(sh.ids, old)
-		}
+	if rerr := sh.log.Remove(prev...); rerr != nil && !errors.Is(rerr, stable.ErrNotFound) {
+		sh.ids = append(sh.ids, prev...)
 	}
 	s.stats.JournalCompactions++
 	return nil
@@ -490,7 +478,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 			return nil, err
 		}
 		sess := bucketSession(sessions, clientID)
-		if rep.Seq >= sess.lowSeq && !sess.acked[rep.Seq] {
+		if rep.Seq >= sess.lowSeq && !sess.acked.has(rep.Seq) {
 			sess.replies[rep.Seq] = rep
 		}
 		if rep.Seq > sess.maxExec {
@@ -505,7 +493,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 		sess := bucketSession(sessions, clientID)
 		for _, seq := range seqs {
 			delete(sess.replies, seq)
-			sess.acked[seq] = true
+			sess.acked.add(seq)
 		}
 	case jrecPrune:
 		clientID := r.String()
@@ -521,11 +509,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 					delete(sess.replies, seq)
 				}
 			}
-			for seq := range sess.acked {
-				if seq < lowSeq {
-					delete(sess.acked, seq)
-				}
-			}
+			sess.acked.pruneBelow(lowSeq)
 		}
 	case jrecSnapshot:
 		snap, err := readSessionList(r)
@@ -561,12 +545,7 @@ func applyJournalRecord(sessions map[string]*session, rec []byte) (map[string]*s
 func bucketSession(sessions map[string]*session, clientID string) *session {
 	sess := sessions[clientID]
 	if sess == nil {
-		sess = &session{
-			clientID:  clientID,
-			replies:   make(map[uint64]*Reply),
-			executing: make(map[uint64]bool),
-			acked:     make(map[uint64]bool),
-		}
+		sess = newSession(clientID)
 		sessions[clientID] = sess
 	}
 	return sess
@@ -631,32 +610,47 @@ func (s *Server) shouldCompactLocked(sh *journalShard) bool {
 // past the compaction threshold: it snapshots the recovery state of every
 // session the shard owns into one record, appends it, and removes the
 // records it supersedes, so the shard stays bounded by live session state
-// rather than by history.
-//
-// Holding the shard's gate exclusively across capture+append is what makes
-// this correct: appends to this shard hold the read side across their own
-// append+bookkeeping, so at capture time every live record's effect is in
-// s.sessions and its id is in sh.ids — "snapshot, then remove exactly the
-// tracked ids" cannot lose an in-flight record. Sessions owned by other
-// shards keep appending concurrently; their records are in other logs and
-// are not captured or removed here.
+// rather than by history. Records appended while a pass runs are not
+// covered by its snapshot, and shouldCompactLocked claims no new run while
+// this one holds the shard; so when enough of them arrived to reach the
+// threshold on their own, compactJournal runs another pass before it
+// releases the claim. The shard's live count is therefore bounded once it
+// goes quiet.
 func (s *Server) compactJournal(idx int) {
 	defer s.compactWG.Done()
 	s.mu.Lock()
 	sh := s.shards[idx]
 	s.mu.Unlock()
+	for s.compactJournalPass(sh) {
+	}
+}
+
+// compactJournalPass runs one snapshot-and-remove pass over sh and reports
+// whether the caller should run another; when it returns false the shard's
+// compaction claim has been released.
+//
+// Holding the shard's gate exclusively across capture+append is what makes
+// a pass correct: appends to this shard hold the read side across their own
+// append+bookkeeping, so at capture time every live record's effect is in
+// s.sessions and its id is in sh.ids — "snapshot, then remove exactly the
+// tracked ids" cannot lose an in-flight record. Sessions owned by other
+// shards keep appending concurrently; their records are in other logs and
+// are not captured or removed here.
+func (s *Server) compactJournalPass(sh *journalShard) bool {
 	sh.gate.Lock()
 	s.mu.Lock()
 	if s.journalErr != nil {
 		sh.compacting = false
 		s.mu.Unlock()
 		sh.gate.Unlock()
-		return
+		return false
 	}
-	snap := encodeSnapshotRecord(s.ownedSessionsLocked(idx))
+	snap := encodeSnapshotRecord(s.ownedSessionsLocked(sh.idx))
 	prev := sh.ids
 	sh.ids = nil
 	s.mu.Unlock()
+	// The snapshot's synchronous append also makes every staged hint on
+	// this shard durable.
 	sid, err := sh.log.Append(snap)
 	sh.gate.Unlock()
 	if err != nil {
@@ -665,24 +659,28 @@ func (s *Server) compactJournal(idx int) {
 		sh.ids = append(sh.ids, prev...)
 		sh.compacting = false
 		s.mu.Unlock()
-		return
+		return false
 	}
-	// Removes run outside the gate: they touch only superseded records. A
-	// failed remove is not fatal — the record replays idempotently underneath
-	// the snapshot — so it is kept for retry at the next compaction instead
-	// of poisoning the journal.
-	kept := prev[:0]
-	for _, old := range prev {
-		if rerr := sh.log.Remove(old); rerr != nil && !errors.Is(rerr, stable.ErrNotFound) {
-			kept = append(kept, old)
-		}
+	// One durable Remove batch, outside the gate: it touches only
+	// superseded records. A failed remove is not fatal — the records replay
+	// idempotently underneath the snapshot — so they are kept for retry at
+	// the next compaction instead of poisoning the journal. ErrNotFound
+	// only means some were already gone; the rest were removed.
+	var kept []uint64
+	if rerr := sh.log.Remove(prev...); rerr != nil && !errors.Is(rerr, stable.ErrNotFound) {
+		kept = prev
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	arrived := len(sh.ids)
 	sh.ids = append(sh.ids, sid)
 	sh.ids = append(sh.ids, kept...)
 	s.stats.JournalCompactions++
+	if s.journalErr == nil && arrived >= s.journalCompactThreshold() {
+		return true
+	}
 	sh.compacting = false
-	s.mu.Unlock()
+	return false
 }
 
 // JournalShardCount reports the current number of journal shards (0 when

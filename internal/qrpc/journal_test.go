@@ -3,6 +3,8 @@ package qrpc
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -232,13 +234,23 @@ type poisonLog struct {
 }
 
 func (p *poisonLog) Append(rec []byte) (uint64, error) {
+	return p.spend(rec, p.MemLog.Append)
+}
+
+// AppendNoSync spends the same budget, so staged records cannot slip past
+// the poisoning.
+func (p *poisonLog) AppendNoSync(rec []byte) (uint64, error) {
+	return p.spend(rec, p.MemLog.AppendNoSync)
+}
+
+func (p *poisonLog) spend(rec []byte, write func([]byte) (uint64, error)) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.budget <= 0 {
 		return 0, &stable.PoisonedError{Cause: errors.New("disk gone")}
 	}
 	p.budget--
-	return p.MemLog.Append(rec)
+	return write(rec)
 }
 
 // TestJournaledServerRefusesWhenPoisoned is the durability contract: once
@@ -428,5 +440,142 @@ func TestJournalDirtyAppendRecovers(t *testing.T) {
 	}
 	if execs != 1 {
 		t.Fatalf("handler re-ran for a durably journaled request: execs = %d", execs)
+	}
+}
+
+// TestJournalFileLogSyncBudget pins the fsync cost of the journal on a real
+// FileLog: ack and prune records are staged hints that ride the next exec
+// record's group commit, so N request+ack cycles cost exactly N journal
+// syncs, and a compaction (snapshot append plus one Remove batch) costs at
+// most 2 however many records it supersedes.
+func TestJournalFileLogSyncBudget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	jl, err := stable.OpenFileLog(path, stable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	up := true
+	snd := &harnessSender{up: &up}
+	echo := func(_ string, req Request) ([]byte, error) { return req.Args, nil }
+
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journal: jl})
+	srv1.Register("echo", echo)
+	srv1.OnConnect(snd, 0)
+	srv1.OnFrame(snd, helloFrame("c1", 1), 0) // staged prune record
+	const n = 20
+	for seq := uint64(1); seq <= n; seq++ {
+		srv1.OnFrame(snd, requestFrame(seq, "echo", []byte{byte(seq)}), 0)
+		srv1.OnFrame(snd, ackFrame(seq), 0)
+	}
+	if got := jl.Stats().Syncs; got != n {
+		t.Fatalf("%d request+ack cycles cost %d journal syncs, want %d", n, got, n)
+	}
+	srv1.OnFrame(snd, requestFrame(n+1, "echo", nil), 0) // left unacked
+	srv1.Close()
+
+	// Rebuild with a threshold one record away, then let the ack of n+1
+	// (a staged hint) trigger the compaction.
+	records := jl.Len()
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: jl, JournalCompactEvery: records + 1})
+	srv2.OnConnect(snd, 0)
+	srv2.OnFrame(snd, helloFrame("c1", 1), 0)
+	before := jl.Stats().Syncs
+	srv2.OnFrame(snd, ackFrame(n+1), 0)
+	srv2.Close() // waits out the background compaction
+	if got := srv2.Stats().JournalCompactions; got != 1 {
+		t.Fatalf("JournalCompactions = %d, want 1", got)
+	}
+	if got := jl.Stats().Syncs - before; got > 2 {
+		t.Fatalf("compacting %d records cost %d journal syncs, want ≤ 2", records+1, got)
+	}
+	if jl.Len() != 1 {
+		t.Fatalf("journal holds %d live records after compaction, want the snapshot alone", jl.Len())
+	}
+
+	srv3 := NewServer(ServerConfig{ServerID: "srv", Journal: jl})
+	if err := srv3.JournalError(); err != nil {
+		t.Fatalf("recovery from compacted journal: %v", err)
+	}
+	sess := srv3.Sessions()
+	if len(sess) != 1 || sess[0].CachedReplies != 0 || sess[0].AckedPending != n+1 || sess[0].MaxExecuted != n+1 {
+		t.Fatalf("recovered session = %+v, want 0 cached, %d acked, maxExec %d", sess, n+1, n+1)
+	}
+}
+
+// TestJournalLostStagedAckRecovers crashes a FileLog journal before a
+// staged ack record became durable: the disk holds the exec record but not
+// the ack. Recovery re-caches the reply the client already consumed, and a
+// redelivery is answered from that cache with the handler run once. (A
+// real client never redelivers an acked seq — it removed the request from
+// its log before acking — so the lost hint costs only cache memory.)
+func TestJournalLostStagedAckRecovers(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal")
+	jl, err := stable.OpenFileLog(path, stable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	up := true
+	snd := &harnessSender{up: &up}
+	execs := 0
+	handler := func(string, Request) ([]byte, error) { execs++; return []byte("v"), nil }
+
+	srv1 := NewServer(ServerConfig{ServerID: "srv", Journal: jl})
+	srv1.Register("echo", handler)
+	srv1.OnConnect(snd, 0)
+	srv1.OnFrame(snd, helloFrame("c1", 0), 0) // LowSeq 0: no prune record
+	srv1.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	if reps := drainReplies(t, snd); len(reps) != 1 {
+		t.Fatalf("got %d replies, want 1", len(reps))
+	}
+	durable, err := os.ReadFile(path) // everything written so far is synced
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := jl.Stats().Syncs
+	srv1.OnFrame(snd, ackFrame(1), 0)
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jl.Stats().Syncs != syncs || len(written) <= len(durable) {
+		t.Fatalf("ack record not staged: syncs %d→%d, file %d→%d bytes",
+			syncs, jl.Stats().Syncs, len(durable), len(written))
+	}
+	if sess := srv1.Sessions(); sess[0].CachedReplies != 0 {
+		t.Fatalf("ack not applied in memory: %+v", sess[0])
+	}
+
+	// Crash before any commit covered the ack: the disk image is the
+	// pre-ack file.
+	crashed := filepath.Join(dir, "journal.crashed")
+	if err := os.WriteFile(crashed, durable, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	jl2, err := stable.OpenFileLog(crashed, stable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl2.Close()
+	srv2 := NewServer(ServerConfig{ServerID: "srv", Journal: jl2})
+	srv2.Register("echo", handler)
+	if err := srv2.JournalError(); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if got := srv2.Stats().RecoveredReplies; got != 1 {
+		t.Fatalf("RecoveredReplies = %d, want 1 (the lost ack re-caches the reply)", got)
+	}
+	srv2.OnConnect(snd, 0)
+	srv2.OnFrame(snd, helloFrame("c1", 0), 0)
+	snd.queue = nil
+	srv2.OnFrame(snd, requestFrame(1, "echo", nil), 0)
+	reps := drainReplies(t, snd)
+	if len(reps) != 1 || string(reps[0].Result) != "v" {
+		t.Fatalf("redelivery = %+v, want the cached reply", reps)
+	}
+	if execs != 1 || srv2.Stats().ReplaysServed != 1 {
+		t.Fatalf("execs = %d, ReplaysServed = %d, want 1 and 1", execs, srv2.Stats().ReplaysServed)
 	}
 }

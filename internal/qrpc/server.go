@@ -106,8 +106,9 @@ type session struct {
 	// redelivery at or below the highest acked seq would starve
 	// still-pending lower sequence numbers forever. Entries are pruned by
 	// the LowSeq each Hello advertises (everything below it is complete
-	// on the client).
-	acked   map[uint64]bool
+	// on the client); contiguous acks share one range, so a long-lived
+	// session that never re-Hellos still holds O(gaps) state.
+	acked   seqSet
 	maxExec uint64
 	lowSeq  uint64
 	sender  Sender // most recent transport, for callbacks
@@ -350,31 +351,34 @@ func (s *Server) onHello(from Sender, payload []byte, out *[]wire.Frame) {
 				s.replyCache.delete(h.ClientID, seq)
 			}
 		}
-		for seq := range sess.acked {
-			if seq < sess.lowSeq {
-				delete(sess.acked, seq)
-			}
-		}
+		sess.acked.pruneBelow(sess.lowSeq)
 	}
 	w := &Welcome{ServerID: s.cfg.ServerID, HighSeq: sess.maxExec, Caps: cn.caps}
 	s.mu.Unlock()
 	if pruned {
 		// Journal the new floor so recovery discards the same dead weight.
-		// Unlike exec records this is apply-then-log: a lost prune record
-		// only means the recovered acked map is larger until the client's
-		// next Hello advertises the floor again.
-		s.journalSessionRecord(h.ClientID, func() []byte { return encodePruneRecord(h.ClientID, h.LowSeq) })
+		// Unlike exec records this is apply-then-log, and staged: a lost
+		// prune record only means the recovered acked set is larger until
+		// the client's next Hello advertises the floor again.
+		s.journalSessionRecord(h.ClientID, true, func() []byte { return encodePruneRecord(h.ClientID, h.LowSeq) })
 	}
 	*out = append(*out, wire.Frame{Type: wire.FrameWelcome, Payload: wire.Marshal(w)})
 }
 
-// journalSessionRecord appends one session record (exec-install, ack or
-// prune) to the session's home shard under that shard's gate read side and
-// tracks its id for compaction. It is a no-op when no journal is configured
-// or the journal is poisoned; an append failure poisons the journal. The
-// in-memory state change these records describe proceeds regardless —
-// losing one costs recovered-state memory, never correctness.
-func (s *Server) journalSessionRecord(clientID string, encode func() []byte) {
+// journalSessionRecord appends one apply-then-log session record to the
+// session's home shard under that shard's gate read side and tracks its id
+// for compaction. It is a no-op when no journal is configured or the
+// journal is poisoned; an append failure poisons the journal. The in-memory
+// state change the record describes has already happened.
+//
+// The records fall into two durability classes. An install record (a
+// replica peer's exec record) is appended synchronously: the repl exec
+// record that would otherwise cover it usually lives on another shard.
+// Ack and prune records are hints (hint=true): losing one costs
+// recovered-state memory, never correctness, so when the shard log can
+// stage appends they are written without a durability wait and become
+// durable inside the shard's next exec or snapshot group commit.
+func (s *Server) journalSessionRecord(clientID string, hint bool, encode func() []byte) {
 	if !s.hasJournal() {
 		return
 	}
@@ -386,7 +390,11 @@ func (s *Server) journalSessionRecord(clientID string, encode func() []byte) {
 	if poisoned {
 		return
 	}
-	id, err := sh.log.Append(encode())
+	appendRec := sh.log.Append
+	if hint && sh.batch != nil {
+		appendRec = sh.batch.AppendNoSync
+	}
+	id, err := appendRec(encode())
 	s.mu.Lock()
 	if err != nil {
 		s.poisonJournalLocked(err)
@@ -405,15 +413,18 @@ func (s *Server) journalSessionRecord(clientID string, encode func() []byte) {
 func (s *Server) sessionLocked(clientID string) *session {
 	sess := s.sessions[clientID]
 	if sess == nil {
-		sess = &session{
-			clientID:  clientID,
-			replies:   make(map[uint64]*Reply),
-			executing: make(map[uint64]bool),
-			acked:     make(map[uint64]bool),
-		}
+		sess = newSession(clientID)
 		s.sessions[clientID] = sess
 	}
 	return sess
+}
+
+func newSession(clientID string) *session {
+	return &session{
+		clientID:  clientID,
+		replies:   make(map[uint64]*Reply),
+		executing: make(map[uint64]bool),
+	}
 }
 
 func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]wire.Frame) {
@@ -451,7 +462,7 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 		*out = append(*out, wire.Frame{Type: wire.FrameReply, Payload: enc})
 		return
 	}
-	if sess.acked[req.Seq] || req.Seq < sess.lowSeq || sess.executing[req.Seq] {
+	if sess.acked.has(req.Seq) || req.Seq < sess.lowSeq || sess.executing[req.Seq] {
 		// Acked (the client has the reply), already complete per the
 		// client's own LowSeq, or currently executing: drop.
 		s.stats.Dropped++
@@ -610,11 +621,11 @@ type stagedExec struct {
 // journal record is not yet durable — WAL-before-release is never weakened.
 //
 // ok=false means the chunk cannot take this path (no journal, or the
-// shard's log cannot stage appends — e.g. a fault-injection wrapper); the
-// caller falls back to per-task execute(). ok=true with an empty result
-// means the journal refused the run (poisoned before or during it): the
-// handlers may or may not have run, nothing is released, and the clients
-// redeliver to a repaired incarnation.
+// shard's log cannot stage appends); the caller falls back to per-task
+// execute(). ok=true with an empty result means the journal refused the
+// run (poisoned before or during it): the handlers may or may not have
+// run, nothing is released, and the clients redeliver to a repaired
+// incarnation.
 func (s *Server) executeChunkBatched(tasks []poolTask) (staged []stagedExec, ok bool) {
 	if len(tasks) == 0 {
 		return nil, true
@@ -711,7 +722,7 @@ func (s *Server) InstallReply(clientID string, rep *Reply) bool {
 	}
 	s.mu.Lock()
 	sess := s.sessionLocked(clientID)
-	if sess.acked[rep.Seq] || rep.Seq < sess.lowSeq || sess.executing[rep.Seq] {
+	if sess.acked.has(rep.Seq) || rep.Seq < sess.lowSeq || sess.executing[rep.Seq] {
 		s.mu.Unlock()
 		return false
 	}
@@ -729,7 +740,7 @@ func (s *Server) InstallReply(clientID string, rep *Reply) bool {
 	s.stats.ReplicatedReplies++
 	s.stats.ReplyCacheEvictions += s.replyCache.put(clientID, rep.Seq, enc)
 	s.mu.Unlock()
-	s.journalSessionRecord(clientID, func() []byte { return encodeExecRecordEnc(clientID, enc) })
+	s.journalSessionRecord(clientID, false, func() []byte { return encodeExecRecordEnc(clientID, enc) })
 	return true
 }
 
@@ -752,15 +763,16 @@ func (s *Server) onAck(from Sender, payload []byte) {
 			delete(sess.replies, seq)
 		}
 		s.replyCache.delete(clientID, seq)
-		sess.acked[seq] = true
+		sess.acked.add(seq)
 		s.stats.AcksReceived++
 	}
 	s.mu.Unlock()
 	// Journal the acknowledgment so recovery drops these reply payloads
-	// too. Apply-then-log, like prune records: losing an ack record means a
-	// fatter recovered cache, never a correctness violation (the client
-	// already consumed the replies and will not redeliver).
-	s.journalSessionRecord(clientID, func() []byte { return encodeAckRecord(clientID, ack.Seqs) })
+	// too. Apply-then-log and staged, like prune records: losing an ack
+	// record means a fatter recovered cache, never a correctness violation
+	// (the client removed each request from its log before acking it, so
+	// it never redelivers these seqs).
+	s.journalSessionRecord(clientID, true, func() []byte { return encodeAckRecord(clientID, ack.Seqs) })
 }
 
 // SendCallback pushes a notification to a client's current transport. It
@@ -874,7 +886,7 @@ func (s *Server) Sessions() []SessionInfo {
 			ClientID:      sess.clientID,
 			CachedReplies: len(sess.replies),
 			MaxExecuted:   sess.maxExec,
-			AckedPending:  len(sess.acked),
+			AckedPending:  sess.acked.len(),
 			LowSeq:        sess.lowSeq,
 			Connected:     sess.sender != nil,
 		})

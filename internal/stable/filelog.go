@@ -285,27 +285,45 @@ func (l *FileLog) appendLocked(rec []byte) (uint64, uint64, error) {
 	return id, l.writeSeq, nil
 }
 
-// Remove implements Log.
-func (l *FileLog) Remove(id uint64) error {
+// Remove implements Log: every remove record of the batch is written, then
+// one group commit makes them durable together.
+func (l *FileLog) Remove(ids ...uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	old, ok := l.live[id]
-	if !ok {
-		return ErrNotFound
+	var missing error
+	wrote := false
+	for _, id := range ids {
+		if _, ok := l.live[id]; !ok {
+			missing = ErrNotFound
+			continue
+		}
+		if err := l.writeRecord(kindRemove, id, nil); err != nil {
+			return err
+		}
+		wrote = true
 	}
-	if err := l.writeRecord(kindRemove, id, nil); err != nil {
-		return err
+	if !wrote {
+		return missing
 	}
 	if err := l.commitLocked(l.writeSeq); err != nil {
 		return err
 	}
-	l.liveBytes -= int64(len(old.payload))
-	delete(l.live, id)
-	l.stats.Removes++
-	return l.maybeCompactLocked()
+	for _, id := range ids {
+		old, ok := l.live[id]
+		if !ok {
+			continue
+		}
+		l.liveBytes -= int64(len(old.payload))
+		delete(l.live, id)
+		l.stats.Removes++
+	}
+	if err := l.maybeCompactLocked(); err != nil {
+		return err
+	}
+	return missing
 }
 
 // writeRecord encodes and appends one record, advancing the write sequence.
@@ -547,10 +565,9 @@ func (l *FileLog) Stats() Stats {
 	return l.stats
 }
 
-// Close implements Log. Group commit leaves no unsynced tail — every
-// Append returns durable — so Close only needs to wait out an fsync still
-// in flight before closing the file (a final safety sync covers the NoSync
-// = false, sync-error edge where writes landed but were never flushed).
+// Close implements Log. It waits out an fsync still in flight, then pays
+// a final sync if anything written is not yet durable — a staged
+// AppendNoSync suffix no Commit covered — before closing the file.
 func (l *FileLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -23,8 +23,9 @@ type MemLog struct {
 	// failNext, when positive, makes the next Append fail (failure
 	// injection for tests).
 	failNext int
-	// staged is set by AppendNoSync and cleared by Commit, so the modeled
-	// sync counter reflects one flush per staged run, like a real log.
+	// staged is set by AppendNoSync and cleared by Commit or a durable
+	// Append, so the modeled sync counter reflects one flush per staged
+	// run, like a real log.
 	staged bool
 }
 
@@ -43,10 +44,36 @@ func (l *MemLog) FailNext(n int) {
 	l.failNext = n
 }
 
-// Append implements Log.
+// Append implements Log. A durable append covers any staged run before it,
+// as a FileLog's group commit does.
 func (l *MemLog) Append(rec []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	id, err := l.appendLocked(rec)
+	if err == nil {
+		l.staged = false
+		if !l.opts.NoSync {
+			l.stats.Syncs++
+		}
+	}
+	return id, err
+}
+
+// AppendNoSync implements BatchLog. MemLog has no real flush to defer, so
+// staging only changes the accounting: a run of staged appends is tallied
+// as the single modeled sync its Commit (or the next durable Append) would
+// have cost on a real log.
+func (l *MemLog) AppendNoSync(rec []byte) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	id, err := l.appendLocked(rec)
+	if err == nil {
+		l.staged = true
+	}
+	return id, err
+}
+
+func (l *MemLog) appendLocked(rec []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
@@ -66,26 +93,7 @@ func (l *MemLog) Append(rec []byte) (uint64, error) {
 	l.stats.Appends++
 	l.stats.BytesLogical += int64(len(rec))
 	l.stats.BytesWritten += int64(len(rec))
-	if !l.opts.NoSync {
-		l.stats.Syncs++
-	}
 	return id, nil
-}
-
-// AppendNoSync implements BatchLog. MemLog has no real flush to defer, so
-// staging only changes the accounting: a run of staged appends is tallied
-// as the single modeled sync its Commit would have cost on a real log.
-func (l *MemLog) AppendNoSync(rec []byte) (uint64, error) {
-	id, err := l.Append(rec)
-	if err == nil && !l.opts.NoSync {
-		// Append charged one flush for this record; a staged record pays
-		// nothing until Commit charges the run's single flush.
-		l.mu.Lock()
-		l.stats.Syncs--
-		l.staged = true
-		l.mu.Unlock()
-	}
-	return id, err
 }
 
 // Commit implements BatchLog, charging one modeled flush for a staged run.
@@ -103,18 +111,24 @@ func (l *MemLog) Commit() error {
 	}
 	return nil
 }
-func (l *MemLog) Remove(id uint64) error {
+
+// Remove implements Log.
+func (l *MemLog) Remove(ids ...uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if _, ok := l.recs[id]; !ok {
-		return ErrNotFound
+	var missing error
+	for _, id := range ids {
+		if _, ok := l.recs[id]; !ok {
+			missing = ErrNotFound
+			continue
+		}
+		delete(l.recs, id)
+		l.stats.Removes++
 	}
-	delete(l.recs, id)
-	l.stats.Removes++
-	return nil
+	return missing
 }
 
 // Replay implements Log.

@@ -94,9 +94,10 @@ type Log interface {
 	// Append stores rec durably and returns its assigned id. Ids are
 	// strictly increasing within and across recoveries.
 	Append(rec []byte) (uint64, error)
-	// Remove marks the record as no longer needed. Removing an unknown id
-	// returns ErrNotFound.
-	Remove(id uint64) error
+	// Remove marks the records as no longer needed. A batch pays one
+	// durability wait and still returns only once every remove is durable.
+	// Unknown ids yield ErrNotFound, after the known ids are removed.
+	Remove(ids ...uint64) error
 	// Replay calls fn for every live (appended, not removed) record in
 	// append order. Replay during active use sees a consistent snapshot.
 	Replay(fn func(id uint64, rec []byte) error) error

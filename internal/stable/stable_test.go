@@ -94,6 +94,83 @@ func TestRemoveUnknown(t *testing.T) {
 	}
 }
 
+// TestRemoveBatch: one Remove call removes every known id, reports
+// ErrNotFound for the unknown one only after the others are gone, and on a
+// FileLog pays a single fsync for the whole batch, durable across reopen.
+func TestRemoveBatch(t *testing.T) {
+	for _, f := range factories() {
+		t.Run(f.name, func(t *testing.T) {
+			l := f.make(t, Options{})
+			defer l.Close()
+			var ids []uint64
+			for i := 0; i < 6; i++ {
+				id, err := l.Append([]byte(fmt.Sprintf("rec-%d", i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			if err := l.Remove(); err != nil {
+				t.Fatalf("empty Remove = %v", err)
+			}
+			before := l.Stats()
+			if err := l.Remove(ids[1], ids[3], 999, ids[5]); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Remove with an unknown id = %v, want ErrNotFound", err)
+			}
+			after := l.Stats()
+			if l.Len() != 3 || after.Removes-before.Removes != 3 {
+				t.Fatalf("Len = %d, Removes +%d, want 3 and +3", l.Len(), after.Removes-before.Removes)
+			}
+			if fl, ok := l.(*FileLog); ok {
+				if got := after.Syncs - before.Syncs; got != 1 {
+					t.Errorf("batch Remove paid %d syncs, want 1", got)
+				}
+				if err := fl.Close(); err != nil {
+					t.Fatal(err)
+				}
+				re, err := OpenFileLog(fl.path, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				l = re
+			}
+			var got []string
+			l.Replay(func(_ uint64, rec []byte) error { got = append(got, string(rec)); return nil })
+			if fmt.Sprint(got) != "[rec-0 rec-2 rec-4]" {
+				t.Fatalf("live after batch Remove = %v", got)
+			}
+			if err := l.Remove(ids[0], ids[1]); !errors.Is(err, ErrNotFound) || l.Len() != 2 {
+				t.Fatalf("Remove(known, removed) = %v, Len = %d, want ErrNotFound and 2", err, l.Len())
+			}
+		})
+	}
+}
+
+// TestStagedRunCoveredByDurableAppend: a durable Append covers the staged
+// records written before it, so AppendNoSync, Append, Commit costs one
+// sync on both logs (the MemLog's modeled count must match the FileLog's).
+func TestStagedRunCoveredByDurableAppend(t *testing.T) {
+	for _, f := range factories() {
+		t.Run(f.name, func(t *testing.T) {
+			l := f.make(t, Options{}).(BatchLog)
+			defer l.Close()
+			if _, err := l.AppendNoSync([]byte("staged")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append([]byte("durable")); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := l.Stats().Syncs; got != 1 {
+				t.Errorf("Syncs = %d, want 1", got)
+			}
+		})
+	}
+}
+
 func TestClosedLog(t *testing.T) {
 	for _, f := range factories() {
 		t.Run(f.name, func(t *testing.T) {
