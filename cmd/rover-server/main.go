@@ -28,6 +28,7 @@ import (
 	"rover/internal/apps/webproxy"
 	"rover/internal/apps/webproxy/httpmini"
 	"rover/internal/gateway"
+	"rover/internal/stable"
 )
 
 func main() {
@@ -162,8 +163,9 @@ func main() {
 // activity (including journal health and replicated replies), admission and
 // budget refusals, reply-cache traffic, journal fsync economics (fsyncs per
 // executed op and the measured fsync latency), per-shard journal depths,
-// delta-import service counters, and — when replication is on — the live
-// replication lag plus the stream/anti-entropy counters.
+// store occupancy and, for the disk store, its segment fsyncs per executed
+// op, delta-import service counters, and — when replication is on — the
+// live replication lag plus the stream/anti-entropy counters.
 func logStats(srv *rover.Server) {
 	es := srv.Engine().Stats()
 	ss := srv.ServerStats()
@@ -189,6 +191,14 @@ func logStats(srv *rover.Server) {
 	line += fmt.Sprintf(" | store: objects=%d resident=%d/%s hits=%d coldFaults=%d compactions=%d segBytes=%d",
 		occ.Objects, occ.ResidentObjects, humanBytes(occ.ResidentBytes),
 		occ.CacheHits, occ.ColdFaults, occ.Compactions, occ.SegmentBytes)
+	if ss, ok := srv.Store().(interface{ SegmentStats() stable.Stats }); ok {
+		syncs := ss.SegmentStats().Syncs
+		fsyncsPerOp := 0.0
+		if es.Executed > 0 {
+			fsyncsPerOp = float64(syncs) / float64(es.Executed)
+		}
+		line += fmt.Sprintf(" fsyncs=%d fsyncs/op=%.3f", syncs, fsyncsPerOp)
+	}
 	if ar := srv.AutotuneReport(); ar.Enabled {
 		line += fmt.Sprintf(" | autotune: cache=%s/%s cacheGrowths=%d shards=%d/%d shardGrowths=%d",
 			humanBytes(ar.CacheBytes), humanBytes(ar.CacheMax), ar.CacheGrowths,

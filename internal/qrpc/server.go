@@ -3,6 +3,7 @@ package qrpc
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"rover/internal/auth"
 	"rover/internal/stable"
@@ -150,6 +151,9 @@ type Server struct {
 	// replication layer streams these to the peer so a failed-over client's
 	// redeliveries are answered from cache there too. Runs outside mu.
 	onExecuted func(clientID string, req Request, rep *Reply, enc []byte)
+
+	// durable is the durability barrier (SetDurable), or nil.
+	durable atomic.Pointer[func() error]
 
 	// replyCache holds encoded replies for the replay path (under mu; nil
 	// when disabled). See replycache.go.
@@ -509,28 +513,64 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 	}
 }
 
+// SetDurable installs the durability barrier: fn runs after a request's
+// handler — or all of a batched chunk's handlers — and before any exec
+// record is appended or any reply released. A store that stages its
+// commits passes its Sync here, so a chunk's store mutations become durable
+// with one fsync, ahead of the exec records that acknowledge them. An error
+// refuses the request or chunk like a journal refusal: no exec records, no
+// replies, dispatch marks cleared. Install it before the server sees
+// traffic; nil removes it.
+func (s *Server) SetDurable(fn func() error) { s.durable.Store(&fn) }
+
+// barrier runs the durability barrier, if one is installed.
+func (s *Server) barrier() error {
+	if fn := s.durable.Load(); fn != nil && *fn != nil {
+		return (*fn)()
+	}
+	return nil
+}
+
+// refuse un-dispatches tasks the engine will not answer: it clears their
+// dispatch marks, counts them refused, and poisons the journal with err
+// when err is non-nil.
+func (s *Server) refuse(err error, tasks ...poolTask) {
+	s.mu.Lock()
+	if err != nil {
+		s.poisonJournalLocked(err)
+	}
+	for i := range tasks {
+		delete(tasks[i].sess.executing, tasks[i].req.Seq)
+	}
+	s.stats.JournalRefused += int64(len(tasks))
+	s.mu.Unlock()
+}
+
 // execute runs a dispatched request's handler outside engine locks, records
 // the reply in the session's at-most-once cache, and returns it together
 // with its wire encoding (marshaled exactly once here; the journal record,
 // the reply frame, the encoded-reply cache, and the onExecuted hook all
-// reuse it). When the server has a journal, the reply is write-ahead-logged
-// to the session's home shard before it is recorded or returned — no
-// transport can observe a reply the journal does not hold. A nil return
-// means the journal refused the execute (poisoned mid-dispatch or the exec
-// append failed): the handler may or may not have run, nothing is released,
-// and the client redelivers to a future, repaired incarnation whose
-// recovery decides from the journal alone.
+// reuse it). The durability barrier runs after the handler; then, when the
+// server has a journal, the reply is write-ahead-logged to the session's
+// home shard before it is recorded or returned — no transport can observe
+// a reply the journal does not hold. A nil return means the barrier or the
+// journal refused the execute (poisoned mid-dispatch or the exec append
+// failed): the handler may or may not have run, nothing is released, and
+// the client redelivers to a future, repaired incarnation whose recovery
+// decides from the journal alone.
 func (s *Server) execute(sess *session, clientID string, handler Handler, req Request) (*Reply, []byte) {
+	task := poolTask{clientID: clientID, sess: sess, req: req}
 	if s.hasJournal() && s.JournalError() != nil {
 		// Poisoned between dispatch and execution (e.g. a queued pool task
 		// behind the append that failed): refuse before running the handler.
-		s.mu.Lock()
-		delete(sess.executing, req.Seq)
-		s.stats.JournalRefused++
-		s.mu.Unlock()
+		s.refuse(nil, task)
 		return nil, nil
 	}
 	rep := runHandler(clientID, handler, req)
+	if err := s.barrier(); err != nil {
+		s.refuse(nil, task)
+		return nil, nil
+	}
 	enc := wire.Marshal(rep)
 
 	journaled := false
@@ -546,11 +586,7 @@ func (s *Server) execute(sess *session, clientID string, handler Handler, req Re
 		defer sh.gate.RUnlock()
 		id, err := sh.log.Append(encodeExecRecordEnc(clientID, enc))
 		if err != nil {
-			s.mu.Lock()
-			s.poisonJournalLocked(err)
-			delete(sess.executing, req.Seq)
-			s.stats.JournalRefused++
-			s.mu.Unlock()
+			s.refuse(err, task)
 			return nil, nil
 		}
 		jid, journaled = id, true
@@ -600,8 +636,8 @@ func runHandler(clientID string, handler Handler, req Request) *Reply {
 }
 
 // stagedExec is one executed task of a batched chunk: the handler has run
-// and its exec record is written to the home shard, but nothing is durable
-// or published until the chunk's single commit lands.
+// and its exec record is written to the home shard, but nothing is
+// published until the chunk's single commit lands.
 type stagedExec struct {
 	task poolTask
 	rep  *Reply
@@ -610,22 +646,28 @@ type stagedExec struct {
 }
 
 // executeChunkBatched runs one session's task run with pipelined group
-// commit: handlers execute back-to-back in order, each exec record staged
-// on the session's home shard WITHOUT waiting for durability, then one
-// commit covers the whole run before any reply is published. Per-session
-// ordering is untouched — what is amortized is the fsync (a run of K tasks
-// joins one group commit instead of K) and the server lock (one bookkeeping
-// pass for the run). At-most-once holds throughout: until the commit
-// returns, the tasks' dispatch marks (sess.executing) stay set, so a
-// concurrent redelivery is dropped rather than answered from a reply whose
-// journal record is not yet durable — WAL-before-release is never weakened.
+// commit. The order is handlers → durability barrier → exec records →
+// journal commit → release: the handlers execute back-to-back in order,
+// the barrier makes their store mutations durable (one store fsync for the
+// run), each exec record is then staged on the session's home shard
+// WITHOUT waiting for durability, and one commit covers the whole run
+// before any reply is published. Exec records wait for the barrier because
+// another session's group commit on the same shard could otherwise make an
+// exec record durable ahead of the store record it acknowledges.
+// Per-session ordering is untouched — what is amortized is the fsyncs (a
+// run of K tasks joins one store and one journal commit instead of K each)
+// and the server lock (one bookkeeping pass for the run). At-most-once
+// holds throughout: until the commit returns, the tasks' dispatch marks
+// (sess.executing) stay set, so a concurrent redelivery is dropped rather
+// than answered from a reply whose journal record is not yet durable —
+// WAL-before-release is never weakened.
 //
 // ok=false means the chunk cannot take this path (no journal, or the
 // shard's log cannot stage appends); the caller falls back to per-task
-// execute(). ok=true with an empty result means the journal refused the
-// run (poisoned before or during it): the handlers may or may not have
-// run, nothing is released, and the clients redeliver to a repaired
-// incarnation.
+// execute(). ok=true with an empty result means the barrier or the journal
+// refused the run (poisoned before or during it): the handlers may or may
+// not have run, nothing is released, and the clients redeliver to a
+// repaired incarnation.
 func (s *Server) executeChunkBatched(tasks []poolTask) (staged []stagedExec, ok bool) {
 	if len(tasks) == 0 {
 		return nil, true
@@ -641,35 +683,40 @@ func (s *Server) executeChunkBatched(tasks []poolTask) (staged []stagedExec, ok 
 	if sh.batch == nil {
 		return nil, false
 	}
-	refuse := func(err error) {
-		s.mu.Lock()
-		if err != nil {
-			s.poisonJournalLocked(err)
-		}
-		for i := range tasks {
-			delete(tasks[i].sess.executing, tasks[i].req.Seq)
-		}
-		s.stats.JournalRefused += int64(len(tasks))
-		s.mu.Unlock()
-	}
 	if s.JournalError() != nil {
-		refuse(nil)
+		s.refuse(nil, tasks...)
 		return nil, true
 	}
-	staged = make([]stagedExec, 0, len(tasks))
+	staged = make([]stagedExec, len(tasks))
 	for i := range tasks {
 		t := &tasks[i]
 		rep := runHandler(t.clientID, t.handler, t.req)
-		enc := wire.Marshal(rep)
-		jid, err := sh.batch.AppendNoSync(encodeExecRecordEnc(t.clientID, enc))
-		if err != nil {
-			refuse(err)
-			return nil, true
-		}
-		staged = append(staged, stagedExec{task: *t, rep: rep, enc: enc, jid: jid})
+		staged[i] = stagedExec{task: *t, rep: rep, enc: wire.Marshal(rep)}
 	}
-	if err := sh.batch.Commit(); err != nil {
-		refuse(err)
+	if err := s.barrier(); err != nil {
+		s.refuse(nil, tasks...)
+		return nil, true
+	}
+	// Every handler of the run has executed, so every exec record is
+	// attempted even after one fails: a task whose handler ran but whose
+	// record was never written would execute again in the next incarnation.
+	// The commit after a failure is best effort for the same reason; the
+	// run is refused either way.
+	var appendErr error
+	for i := range staged {
+		st := &staged[i]
+		jid, err := sh.batch.AppendNoSync(encodeExecRecordEnc(st.task.clientID, st.enc))
+		if err != nil && appendErr == nil {
+			appendErr = err
+		}
+		st.jid = jid
+	}
+	err := sh.batch.Commit()
+	if appendErr != nil {
+		err = appendErr
+	}
+	if err != nil {
+		s.refuse(err, tasks...)
 		return nil, true
 	}
 	s.mu.Lock()

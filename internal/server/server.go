@@ -35,7 +35,10 @@ import (
 type Config struct {
 	// Engine is the QRPC server engine to register services on. Required.
 	Engine *qrpc.Server
-	// Store holds the objects; a fresh one is created when nil.
+	// Store holds the objects; a fresh one is created when nil. When it is a
+	// store.Stager, handlers mutate through its Staged view and the engine's
+	// durability barrier is its Sync, so a batched chunk of exports pays
+	// one store fsync.
 	Store store.Backend
 	// Resolvers maps object types to conflict resolvers; a Replay-fallback
 	// registry is created when nil.
@@ -47,10 +50,14 @@ type Config struct {
 
 // Server is a Rover object server.
 type Server struct {
-	engine    *qrpc.Server
-	store     store.Backend
-	resolvers *resolve.Registry
-	budget    int64
+	engine *qrpc.Server
+	store  store.Backend
+	// mut is what handlers mutate through: the store's Staged view when it
+	// is a Stager (syncStaged is then its Sync), else the store itself.
+	mut        store.Backend
+	syncStaged func() error
+	resolvers  *resolve.Registry
+	budget     int64
 
 	mu    sync.Mutex
 	subs  map[string][]urn.URN // clientID -> subscribed prefixes
@@ -92,6 +99,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.store == nil {
 		s.store = store.New()
+	}
+	s.mut = s.store
+	if st, ok := s.store.(store.Stager); ok {
+		s.mut, s.syncStaged = st.Staged(), st.Sync
+		cfg.Engine.SetDurable(st.Sync)
 	}
 	if s.resolvers == nil {
 		s.resolvers = resolve.NewRegistry(nil)
@@ -278,16 +290,19 @@ func (s *Server) handleExport(clientID string, req qrpc.Request) ([]byte, error)
 				// The exporting client is recorded with the entry so a
 				// redelivered copy of this export is recognized as already
 				// committed (WasCommitted), here and at the replica peer.
-				newVer, err = s.store.CommitOpsBy(obj, cur, args.Invs, clientID)
+				newVer, err = s.mut.CommitOpsBy(obj, cur, args.Invs, clientID)
 			} else {
-				newVer, err = s.store.Commit(obj, cur)
+				newVer, err = s.mut.Commit(obj, cur)
 			}
 			if err != nil {
 				continue // lost a race; re-resolve on fresh state
 			}
+			// Reply with exactly what was committed, at newVer: a re-read
+			// could see a later commit, and would force a staged record
+			// durable ahead of the chunk's barrier.
 			rep.NewVersion = newVer
-			committed, _ := s.store.Get(args.URN)
-			rep.Object = committed.Encode()
+			obj.Version = newVer
+			rep.Object = obj.Encode()
 			s.notifyInvalidate(clientID, args.URN, newVer)
 			return wire.Marshal(rep), nil
 		}
@@ -456,7 +471,7 @@ func (s *Server) handleInvoke(clientID string, req qrpc.Request) ([]byte, error)
 			// A server-side invoke is as deterministic as a replayed
 			// export; record it so revalidating clients can fetch a delta.
 			inv := rdo.Invocation{Object: args.URN, Method: args.Method, Args: args.Args, BaseVer: cur}
-			newVer, err := s.store.CommitOps(obj, cur, []rdo.Invocation{inv})
+			newVer, err := s.mut.CommitOps(obj, cur, []rdo.Invocation{inv})
 			if err != nil {
 				continue // raced; re-execute against fresh state
 			}
@@ -484,7 +499,7 @@ func (s *Server) handleCreate(clientID string, req qrpc.Request) ([]byte, error)
 	if _, err := rdo.NewEnv(obj.Clone(), rdo.EnvOptions{Sandbox: rdo.Restricted, StepBudget: s.budget}); err != nil {
 		return nil, err
 	}
-	if err := s.store.Create(obj); err != nil {
+	if err := s.mut.Create(obj); err != nil {
 		// Idempotent redelivery safety net: creating the same object twice
 		// with identical content succeeds (the QRPC reply cache normally
 		// absorbs duplicates; this covers cross-incarnation repeats).
@@ -551,7 +566,8 @@ func (s *Server) handleConflicts(clientID string, req qrpc.Request) ([]byte, err
 }
 
 // notifyInvalidate pushes change callbacks to subscribed clients other
-// than the originator.
+// than the originator. A staged commit is made durable first: a callback
+// must never announce a version a crash could lose.
 func (s *Server) notifyInvalidate(originClientID string, u urn.URN, newVersion uint64) {
 	s.mu.Lock()
 	var targets []string
@@ -569,6 +585,9 @@ func (s *Server) notifyInvalidate(originClientID string, u urn.URN, newVersion u
 	s.mu.Unlock()
 	if len(targets) == 0 {
 		return
+	}
+	if s.syncStaged != nil && s.syncStaged() != nil {
+		return // not durable: callbacks are advisory, so drop them
 	}
 	payload := wire.Marshal(&proto.InvalidateEvent{URN: u, NewVersion: newVersion})
 	for _, clientID := range targets {

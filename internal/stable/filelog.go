@@ -49,7 +49,7 @@ type FileLog struct {
 	writeSeq  uint64        // writes issued to the file
 	syncedSeq uint64        // writes known durable
 	syncing   bool          // an fsync is in flight (mu released by the leader)
-	syncErr   error         // sticky: the first fsync failure poisons the log
+	syncErr   error         // sticky: the first failed fsync or write poisons the log
 	synced    *sync.Cond    // broadcast when a sync completes (or fails)
 	syncEWMA  time.Duration // rolling measured fsync latency (see Cost)
 }
@@ -240,12 +240,6 @@ func (l *FileLog) Append(rec []byte) (uint64, error) {
 func (l *FileLog) AppendNoSync(rec []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.syncErr != nil {
-		// Append surfaces the sticky poison through commitLocked; the
-		// no-wait path must refuse up front or the caller would stage
-		// records nothing can ever make durable.
-		return 0, l.syncErr
-	}
 	id, _, err := l.appendLocked(rec)
 	return id, err
 }
@@ -258,14 +252,22 @@ func (l *FileLog) Commit() error {
 	if l.closed {
 		return ErrClosed
 	}
+	if l.syncErr != nil {
+		return l.syncErr
+	}
 	return l.commitLocked(l.writeSeq)
 }
 
 // appendLocked writes one append record and returns its id and write
-// sequence number; the caller decides whether to wait for durability.
+// sequence number; the caller decides whether to wait for durability. A
+// poisoned log refuses up front: the no-wait path would otherwise stage
+// records nothing can ever make durable.
 func (l *FileLog) appendLocked(rec []byte) (uint64, uint64, error) {
 	if l.closed {
 		return 0, 0, ErrClosed
+	}
+	if l.syncErr != nil {
+		return 0, 0, l.syncErr
 	}
 	if len(rec) > MaxRecord {
 		return 0, 0, ErrRecordBig
@@ -292,6 +294,9 @@ func (l *FileLog) Remove(ids ...uint64) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if l.syncErr != nil {
+		return l.syncErr
 	}
 	var missing error
 	wrote := false
@@ -327,7 +332,10 @@ func (l *FileLog) Remove(ids ...uint64) error {
 }
 
 // writeRecord encodes and appends one record, advancing the write sequence.
-// It does NOT wait for durability — callers commit (or stage) explicitly.
+// It does NOT wait for durability — callers commit (or stage) explicitly. A
+// failed write poisons the log: a short write leaves partial bytes, and the
+// next record landing behind them would be interior corruption that fails
+// the next open.
 func (l *FileLog) writeRecord(kind byte, id uint64, payload []byte) error {
 	b := l.scratch[:0]
 	b = append(b, kind)
@@ -349,7 +357,9 @@ func (l *FileLog) writeRecord(kind byte, id uint64, payload []byte) error {
 	b = binary.LittleEndian.AppendUint32(b, crc)
 	l.scratch = b
 	if _, err := l.f.Write(b); err != nil {
-		return fmt.Errorf("stable: write: %w", err)
+		l.syncErr = &PoisonedError{Cause: fmt.Errorf("stable: write: %w", err)}
+		l.synced.Broadcast()
+		return l.syncErr
 	}
 	l.fileBytes += int64(len(b))
 	l.stats.BytesWritten += int64(len(b))
@@ -506,8 +516,8 @@ func (l *FileLog) Replay(fn func(id uint64, rec []byte) error) error {
 }
 
 // Poisoned reports the sticky *PoisonedError set by the first failed
-// group-commit fsync, or nil while the log is healthy. Once non-nil, every
-// Append and Remove returns the same error.
+// group-commit fsync or record write, or nil while the log is healthy. Once
+// non-nil, every Append, Remove and Commit returns the same error.
 func (l *FileLog) Poisoned() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

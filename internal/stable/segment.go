@@ -30,8 +30,8 @@ import (
 //
 // Torn-tail semantics are identical to FileLog: a partial record at EOF is
 // truncated away and reported via TornTail as a *TornTailError; interior
-// corruption fails the open. A failed group-commit fsync poisons the
-// segment permanently (ErrPoisoned).
+// corruption fails the open. A failed group-commit fsync or record write
+// poisons the segment permanently (ErrPoisoned).
 type SegmentFile struct {
 	mu   sync.Mutex
 	path string
@@ -47,7 +47,7 @@ type SegmentFile struct {
 
 	// Group-commit state; the protocol is FileLog's (see commitLocked
 	// there): writes are sequenced under mu, the leader fsyncs with mu
-	// released, and a failed fsync is sticky.
+	// released, and a failed fsync or write is sticky.
 	writeSeq  uint64
 	syncedSeq uint64
 	syncing   bool
@@ -195,9 +195,6 @@ func (s *SegmentFile) recover(scan func(off int64, rec []byte) error, start int6
 func (s *SegmentFile) AppendNoSync(rec []byte) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.syncErr != nil {
-		return 0, s.syncErr
-	}
 	off, _, err := s.appendLocked(rec)
 	return off, err
 }
@@ -216,9 +213,15 @@ func (s *SegmentFile) Append(rec []byte) (int64, error) {
 	return off, nil
 }
 
+// appendLocked writes one record. A poisoned segment refuses up front, and
+// a failed write poisons it: fileBytes does not advance past partial bytes,
+// so a later record would land behind them at an offset nothing points to.
 func (s *SegmentFile) appendLocked(rec []byte) (int64, uint64, error) {
 	if s.closed {
 		return 0, 0, ErrClosed
+	}
+	if s.syncErr != nil {
+		return 0, 0, s.syncErr
 	}
 	if len(rec) > MaxRecord {
 		return 0, 0, ErrRecordBig
@@ -243,7 +246,9 @@ func (s *SegmentFile) appendLocked(rec []byte) (int64, uint64, error) {
 	b = binary.LittleEndian.AppendUint32(b, crc)
 	s.scratch = b
 	if _, err := s.f.Write(b); err != nil {
-		return 0, 0, fmt.Errorf("stable: segment write: %w", err)
+		s.syncErr = &PoisonedError{Cause: fmt.Errorf("stable: segment write: %w", err)}
+		s.synced.Broadcast()
+		return 0, 0, s.syncErr
 	}
 	s.nextID++
 	s.fileBytes += int64(len(b))
@@ -262,6 +267,9 @@ func (s *SegmentFile) Commit() error {
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
+	}
+	if s.syncErr != nil {
+		return s.syncErr
 	}
 	return s.commitLocked(s.writeSeq)
 }
@@ -507,7 +515,8 @@ func (s *SegmentFile) TornTail() error {
 	return s.torn
 }
 
-// Poisoned reports the sticky error set by the first failed fsync, or nil.
+// Poisoned reports the sticky error set by the first failed fsync or
+// write, or nil.
 func (s *SegmentFile) Poisoned() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -39,12 +39,13 @@ var (
 	// the signature of a crash mid-append. Recovery truncates the torn
 	// record and continues; FileLog.TornTail reports it afterwards.
 	ErrTornTail = errors.New("stable: torn record at log tail")
-	// ErrPoisoned marks a log whose group-commit fsync failed. After the
-	// kernel fails a flush the page-cache state is unknowable, so the log
-	// refuses all further appends and removes rather than pretend the data
-	// is durable. Match with errors.Is; the concrete *PoisonedError carries
-	// the original fsync failure.
-	ErrPoisoned = errors.New("stable: log poisoned by failed sync")
+	// ErrPoisoned marks a log whose group-commit fsync or record write
+	// failed. After the kernel fails a flush the page-cache state is
+	// unknowable, and a short write leaves partial bytes the next record
+	// would land behind, so the log refuses all further appends, removes
+	// and commits rather than pretend the data is durable. Match with
+	// errors.Is; the concrete *PoisonedError carries the original failure.
+	ErrPoisoned = errors.New("stable: log poisoned by failed write or sync")
 )
 
 // TornTailError carries the byte offset of a torn trailing record detected
@@ -63,22 +64,23 @@ func (e *TornTailError) Error() string {
 func (e *TornTailError) Unwrap() error { return ErrTornTail }
 
 // PoisonedError is the sticky error a log returns once a group-commit
-// fsync has failed: the first failure is remembered and every subsequent
-// Append/Remove (and any waiter that was riding the failed flush) gets it.
+// fsync or a record write has failed: the first failure is remembered and
+// every subsequent Append/Remove/Commit (and any waiter that was riding the
+// failed flush) gets it.
 // Durability-critical callers — the QRPC server's session journal — treat
 // it as fatal and refuse further work instead of continuing without
 // durability. It matches errors.Is(err, ErrPoisoned) and unwraps to the
 // underlying fsync failure.
 type PoisonedError struct {
-	// Cause is the original fsync error that poisoned the log.
+	// Cause is the original fsync or write error that poisoned the log.
 	Cause error
 }
 
 func (e *PoisonedError) Error() string {
-	return fmt.Sprintf("stable: log poisoned by failed sync: %v", e.Cause)
+	return fmt.Sprintf("stable: log poisoned by failed write or sync: %v", e.Cause)
 }
 
-// Unwrap exposes the original fsync failure.
+// Unwrap exposes the original failure.
 func (e *PoisonedError) Unwrap() error { return e.Cause }
 
 // Is makes errors.Is(e, ErrPoisoned) true without hiding the cause chain.

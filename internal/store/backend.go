@@ -89,6 +89,25 @@ type OpsReader interface {
 	StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs []rdo.Invocation, src string, obj []byte) error) (bool, error)
 }
 
+// Stager is an optional Backend extension for stores whose commits pay an
+// fsync: it lets a caller stage a batch of mutations and pay one durability
+// wait for all of them. Mutations through the Staged view write their
+// record and return without waiting; none of them is visible — to readers,
+// listings, snapshots or the SetOnApply observer — until a Sync makes it
+// durable and publishes it. A read that touches an object with staged
+// mutations Syncs first, so the stager reads its own writes and no reader
+// ever observes state a crash could lose. The QRPC server stages a batch's
+// handler mutations and calls Sync once, before any exec record or reply.
+type Stager interface {
+	// Staged returns the store with non-durable mutations; its reads and
+	// every other method are the store's own.
+	Staged() Backend
+	// Sync makes every mutation staged so far durable and publishes it. A
+	// failed Sync is sticky: the staged mutations are dropped, and every
+	// later Sync and mutation fails.
+	Sync() error
+}
+
 // CacheTuner is an optional Backend extension: online retuning of the
 // backend's resident-cache budget. The facade's adaptive controller grows
 // the budget when the observed cold-fault ratio says the working set does

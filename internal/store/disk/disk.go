@@ -64,25 +64,37 @@ type idxEnt struct {
 //
 //   - Publish-after-durable: a mutation's record is appended and fsynced
 //     (riding the segment's group commit) BEFORE the index, history, LRU,
-//     and observer see it, and before the mutation returns. Readers never
-//     observe state that a crash could lose, and the index only ever
-//     points at durable records — so fault-in cannot read a torn record.
-//     A crash between append and publish leaves a durable record the
-//     committer never acknowledged; recovery replays it — the same
-//     crash-before-ack window the session journal has, absorbed by
-//     WasCommitted and the engine's reply cache.
+//     and observer see it. Readers never observe state that a crash could
+//     lose, and the index only ever points at durable records — so
+//     fault-in cannot read a torn record. A crash between append and
+//     publish leaves a durable record the committer never acknowledged;
+//     recovery replays it — the same crash-before-ack window the session
+//     journal has, absorbed by WasCommitted and the engine's reply cache.
+//   - One publish path: every mutation stages its record (AppendNoSync)
+//     and queues its publish; Sync makes everything staged so far durable
+//     with one segment commit and publishes it in append order. A durable
+//     mutation is a staged one followed by Sync; the Staged view returns
+//     before the Sync, so a caller can stage a batch and pay one fsync.
+//   - Force on touch: begin, Get, Version, OpsSince, StreamOpsSince and
+//     WasCommitted of a URN with staged records Sync first (read-your-
+//     writes for the stager; no other reader sees a losable record).
+//     List, ListAll, Snapshot and Len show published state only.
 //   - Per-object commit slots: concurrent committers of one object
 //     serialize (version checks stay correct), while committers of
 //     different objects proceed concurrently and coalesce onto one fsync.
 //   - Compaction gate: the compactor excludes new mutations, drains
-//     in-flight committers, rewrites every live object (plus its history
-//     window) into a fresh segment, fsyncs, renames over the old path, and
-//     swaps — readers are excluded only during the rewrite itself.
+//     in-flight committers, syncs and publishes staged records, rewrites
+//     every live object (plus its history window) into a fresh segment,
+//     fsyncs, renames over the old path, and swaps — readers are excluded
+//     only during the rewrite itself. Close and LoadSnapshot drain staged
+//     records the same way before they write a footer or rewrite.
 //
 // The conflict repair queue is memory-only, as on the in-memory backend:
 // conflicts are an operator-facing inbox, not committed object state.
 // A failed segment fsync poisons the segment permanently: every later
-// mutation fails with stable.ErrPoisoned, while reads keep working.
+// mutation fails with stable.ErrPoisoned, while reads keep working. A
+// failed Sync is sticky the same way: its staged records are dropped,
+// never published.
 type Store struct {
 	mu   sync.RWMutex
 	cond *sync.Cond // begin/compaction gate waiters
@@ -101,10 +113,20 @@ type Store struct {
 	repairs []store.Conflict
 	onApply func(store.ApplyEvent)
 
+	// Staged records: appended to the current segment, not yet known
+	// durable, in append order. stagedN counts them per URN (force on
+	// touch); stageSeq numbers them so a Sync publishes exactly the records
+	// its commit covered. syncErr is a failed Sync's sticky error.
+	pending  []pendingRec
+	stagedN  map[urn.URN]int
+	stageSeq uint64
+	syncErr  error
+
 	mutsSinceCompact int
 	liveBytes        int64
 	compactions      int64
 	coldFaults       atomic.Int64
+	segBase          stable.Stats // counters of segments retired by rewrites
 
 	// Footer bookkeeping. segFooterBytes is the weight of 'X' records in
 	// the current segment (excluded from the compaction dead-weight test —
@@ -116,7 +138,18 @@ type Store struct {
 	recoveredByFooter bool
 }
 
-var _ store.Backend = (*Store)(nil)
+// pendingRec is one staged record awaiting the Sync that publishes it.
+type pendingRec struct {
+	seq       uint64
+	u         urn.URN
+	off, rlen int64
+	publish   func(off, rlen int64)
+}
+
+var (
+	_ store.Backend = (*Store)(nil)
+	_ store.Stager  = (*Store)(nil)
+)
 
 // Open opens (or creates) the store under opts.Dir, replaying the segment
 // to rebuild the index and the per-object history windows. A torn trailing
@@ -148,6 +181,7 @@ func Open(opts Options) (*Store, error) {
 		hist:       store.NewHistory(),
 		lru:        newLRU(opts.CacheBytes),
 		committing: make(map[urn.URN]struct{}),
+		stagedN:    make(map[urn.URN]int),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	// Fast path: a valid sidecar points at an index footer near the
@@ -250,15 +284,24 @@ func (s *Store) notifyLocked(ev store.ApplyEvent) {
 	}
 }
 
-// begin acquires u's commit slot — waiting out a concurrent committer of
-// the same object and any compaction gate — and returns u's current index
-// entry. The caller must end with commitRecord or release.
+// begin acquires u's commit slot — syncing u's staged records, waiting out
+// a concurrent committer of the same object and any compaction gate — and
+// returns u's current index entry. The caller must end with stage or
+// release.
 func (s *Store) begin(u urn.URN) (idxEnt, bool, error) {
 	s.mu.Lock()
 	for {
 		if s.closed {
 			s.mu.Unlock()
 			return idxEnt{}, false, ErrClosed
+		}
+		if s.stagedN[u] > 0 {
+			s.mu.Unlock()
+			if err := s.Sync(); err != nil {
+				return idxEnt{}, false, err
+			}
+			s.mu.Lock()
+			continue
 		}
 		_, busy := s.committing[u]
 		if !s.compacting && !busy {
@@ -279,29 +322,66 @@ func (s *Store) release(u urn.URN) {
 	s.mu.Unlock()
 }
 
-// commitRecord appends rec, waits for durability (coalescing with other
-// committers' fsync), then publishes under the store lock and releases u's
-// slot. publish runs only on success, with the record's offset and on-disk
-// length.
-func (s *Store) commitRecord(u urn.URN, rec []byte, publish func(off, rlen int64)) error {
+// stage appends rec without waiting for durability, queues publish for the
+// Sync that makes the record durable, and releases u's slot. publish runs
+// under the store lock only once the record is durable, with its offset
+// and on-disk length. A durable stage Syncs before returning.
+func (s *Store) stage(u urn.URN, rec []byte, publish func(off, rlen int64), durable bool) error {
 	s.mu.Lock()
-	seg := s.seg
-	off, err := seg.AppendNoSync(rec)
-	end := seg.Size()
-	s.mu.Unlock()
+	err := s.syncErr
 	if err == nil {
-		err = seg.Commit()
+		var off int64
+		if off, err = s.seg.AppendNoSync(rec); err == nil {
+			s.stageSeq++
+			s.pending = append(s.pending, pendingRec{seq: s.stageSeq, u: u, off: off, rlen: s.seg.Size() - off, publish: publish})
+			s.stagedN[u]++
+		}
 	}
-	s.mu.Lock()
 	delete(s.committing, u)
-	var compact bool
-	if err == nil {
-		publish(off, end-off)
-		s.mutsSinceCompact++
-		s.cleanFooter = false
-		compact = s.mutsSinceCompact >= s.opts.CompactEvery
-	}
 	s.cond.Broadcast()
+	s.mu.Unlock()
+	if err != nil || !durable {
+		return err
+	}
+	return s.Sync()
+}
+
+// Sync implements store.Stager: it makes every record staged so far durable
+// with one segment commit (joining any commit in flight) and publishes them
+// in append order — index, LRU, history, observer. With nothing staged it
+// costs nothing. A failed Sync is sticky: every staged record is dropped,
+// never published, and every later Sync and mutation returns the error. A
+// commit that fails with stable.ErrClosed because a compaction swap or
+// Close retired the segment is not a failure: the swap drained and
+// published those records first.
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	if s.syncErr != nil || len(s.pending) == 0 {
+		err := s.syncErr
+		s.mu.Unlock()
+		return err
+	}
+	seg, target := s.seg, s.stageSeq
+	s.mu.Unlock()
+	return s.finishSync(target, seg.Commit())
+}
+
+// finishSync publishes the records numbered up to target once the segment
+// commit that covers them returned err.
+func (s *Store) finishSync(target uint64, err error) error {
+	s.mu.Lock()
+	if errors.Is(err, stable.ErrClosed) && (len(s.pending) == 0 || s.pending[0].seq > target) {
+		err = nil
+	}
+	compact := false
+	switch {
+	case err != nil:
+		s.failLocked(err)
+	case s.syncErr != nil:
+		err = s.syncErr // another Sync failed and dropped the records
+	default:
+		compact = s.publishLocked(target)
+	}
 	s.mu.Unlock()
 	if compact {
 		s.maybeCompact()
@@ -309,8 +389,102 @@ func (s *Store) commitRecord(u urn.URN, rec []byte, publish func(off, rlen int64
 	return err
 }
 
+// publishLocked publishes the staged records numbered up to target, which a
+// segment commit has made durable, and reports whether compaction is due.
+func (s *Store) publishLocked(target uint64) bool {
+	n := 0
+	for ; n < len(s.pending) && s.pending[n].seq <= target; n++ {
+		p := &s.pending[n]
+		p.publish(p.off, p.rlen)
+		if s.stagedN[p.u]--; s.stagedN[p.u] == 0 {
+			delete(s.stagedN, p.u)
+		}
+	}
+	if n == 0 {
+		return false
+	}
+	rest := copy(s.pending, s.pending[n:])
+	clear(s.pending[rest:])
+	s.pending = s.pending[:rest]
+	s.mutsSinceCompact += n
+	s.cleanFooter = false
+	return s.mutsSinceCompact >= s.opts.CompactEvery
+}
+
+// failLocked records a failed Sync and drops every staged record.
+func (s *Store) failLocked(err error) {
+	if s.syncErr == nil {
+		s.syncErr = err
+	}
+	clear(s.pending)
+	s.pending = s.pending[:0]
+	clear(s.stagedN)
+}
+
+// drainLocked syncs and publishes every staged record before the caller
+// rewrites the segment or writes its index footer: a footer that omitted a
+// staged record would let the next footer-path Open drop it. Called with
+// mu held and no committer in flight.
+func (s *Store) drainLocked() error {
+	if s.syncErr != nil || len(s.pending) == 0 {
+		return s.syncErr
+	}
+	if err := s.seg.Commit(); err != nil {
+		s.failLocked(err)
+		return err
+	}
+	s.publishLocked(s.stageSeq)
+	return nil
+}
+
+// rlockTouched takes the read lock with u's staged records published (force
+// on touch). On success the caller holds the read lock.
+func (s *Store) rlockTouched(u urn.URN) error {
+	for {
+		s.mu.RLock()
+		if s.stagedN[u] == 0 {
+			return nil
+		}
+		s.mu.RUnlock()
+		if err := s.Sync(); err != nil {
+			return err
+		}
+	}
+}
+
+// Staged implements store.Stager: a view of the store whose mutations
+// append their record and return without waiting for durability. Nothing a
+// staged mutation does is visible — to readers, List, Snapshot or the
+// observer — until a Sync publishes it; a touch of the URN forces that Sync.
+// Reads and every other method are the store's own.
+func (s *Store) Staged() store.Backend { return stagedView{s} }
+
+// stagedView is the Staged backend: the store with non-durable mutations.
+type stagedView struct{ *Store }
+
+func (v stagedView) Create(obj *rdo.Object) error { return v.create(obj, false) }
+func (v stagedView) Commit(obj *rdo.Object, expect uint64) (uint64, error) {
+	return v.commit(obj, expect, false)
+}
+func (v stagedView) CommitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation) (uint64, error) {
+	return v.commitOps(obj, expect, invs, "", true, false)
+}
+func (v stagedView) CommitOpsBy(obj *rdo.Object, expect uint64, invs []rdo.Invocation, src string) (uint64, error) {
+	return v.commitOps(obj, expect, invs, src, true, false)
+}
+func (v stagedView) Delete(u urn.URN) error { return v.delete(u, false) }
+func (v stagedView) InstallOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation, src string) (uint64, error) {
+	return v.commitOps(obj, expect, invs, src, false, false)
+}
+func (v stagedView) InstallState(obj *rdo.Object) (uint64, error) {
+	return v.installState(obj, false)
+}
+func (v stagedView) InstallDelete(u urn.URN) { v.installDelete(u, false) }
+
 // Create implements store.Backend.
-func (s *Store) Create(obj *rdo.Object) error {
+func (s *Store) Create(obj *rdo.Object) error { return s.create(obj, true) }
+
+func (s *Store) create(obj *rdo.Object, durable bool) error {
 	cp := obj.Clone()
 	cp.Version = 1
 	_, ok, err := s.begin(cp.URN)
@@ -322,18 +496,22 @@ func (s *Store) Create(obj *rdo.Object) error {
 		return fmt.Errorf("%w: %s", store.ErrExists, cp.URN)
 	}
 	objBytes := cp.Encode()
-	return s.commitRecord(cp.URN, encodeState(cp.URN, 1, objBytes), func(off, rlen int64) {
+	return s.stage(cp.URN, encodeState(cp.URN, 1, objBytes), func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: 1, off: off, rlen: rlen, typ: cp.Type, kind: recState})
 		s.hist.Clear(cp.URN) // a re-created URN starts with no past
 		s.lru.put(cp)
 		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: cp.URN, Version: 1, Object: objBytes})
-	})
+	}, durable)
 }
 
 // Commit implements store.Backend (see Store.Commit in the parent package
 // for the optimistic-concurrency contract; a plain Commit is an opaque jump
 // and clears the object's history).
 func (s *Store) Commit(obj *rdo.Object, expect uint64) (uint64, error) {
+	return s.commit(obj, expect, true)
+}
+
+func (s *Store) commit(obj *rdo.Object, expect uint64, durable bool) (uint64, error) {
 	ent, ok, err := s.begin(obj.URN)
 	if err != nil {
 		return 0, err
@@ -350,13 +528,13 @@ func (s *Store) Commit(obj *rdo.Object, expect uint64) (uint64, error) {
 	cp := obj.Clone()
 	cp.Version = expect + 1
 	objBytes := cp.Encode()
-	err = s.commitRecord(cp.URN, encodeState(cp.URN, cp.Version, objBytes), func(off, rlen int64) {
+	err = s.stage(cp.URN, encodeState(cp.URN, cp.Version, objBytes), func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: cp.Version, off: off, rlen: rlen, typ: cp.Type, kind: recState})
 		s.hist.Clear(cp.URN)
 		s.lru.put(cp)
 		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyState, URN: cp.URN,
 			PrevVersion: expect, Version: cp.Version, Object: objBytes})
-	})
+	}, durable)
 	if err != nil {
 		return 0, err
 	}
@@ -365,21 +543,21 @@ func (s *Store) Commit(obj *rdo.Object, expect uint64) (uint64, error) {
 
 // CommitOps implements store.Backend.
 func (s *Store) CommitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation) (uint64, error) {
-	return s.commitOps(obj, expect, invs, "", true)
+	return s.commitOps(obj, expect, invs, "", true, true)
 }
 
 // CommitOpsBy implements store.Backend.
 func (s *Store) CommitOpsBy(obj *rdo.Object, expect uint64, invs []rdo.Invocation, src string) (uint64, error) {
-	return s.commitOps(obj, expect, invs, src, true)
+	return s.commitOps(obj, expect, invs, src, true, true)
 }
 
 // InstallOps implements store.Backend: CommitOpsBy without the observer
 // echo (see the in-memory Store.InstallOps).
 func (s *Store) InstallOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation, src string) (uint64, error) {
-	return s.commitOps(obj, expect, invs, src, false)
+	return s.commitOps(obj, expect, invs, src, false, true)
 }
 
-func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation, src string, notify bool) (uint64, error) {
+func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation, src string, notify, durable bool) (uint64, error) {
 	ent, ok, err := s.begin(obj.URN)
 	if err != nil {
 		return 0, err
@@ -408,7 +586,7 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 	} else {
 		rec = encodeState(cp.URN, cp.Version, objBytes)
 	}
-	err = s.commitRecord(cp.URN, rec, func(off, rlen int64) {
+	err = s.stage(cp.URN, rec, func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: cp.Version, off: off, rlen: rlen, typ: cp.Type, kind: recKind})
 		s.lru.put(cp)
 		if s.hist.Record(cp.URN, cp.Version, cpInvs, src) {
@@ -424,7 +602,7 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 					PrevVersion: expect, Version: cp.Version, Object: objBytes})
 			}
 		}
-	})
+	}, durable)
 	if err != nil {
 		return 0, err
 	}
@@ -432,7 +610,9 @@ func (s *Store) commitOps(obj *rdo.Object, expect uint64, invs []rdo.Invocation,
 }
 
 // Delete implements store.Backend.
-func (s *Store) Delete(u urn.URN) error {
+func (s *Store) Delete(u urn.URN) error { return s.delete(u, true) }
+
+func (s *Store) delete(u urn.URN, durable bool) error {
 	ent, ok, err := s.begin(u)
 	if err != nil {
 		return err
@@ -441,20 +621,29 @@ func (s *Store) Delete(u urn.URN) error {
 		s.release(u)
 		return fmt.Errorf("%w: %s", store.ErrNotFound, u)
 	}
-	return s.commitRecord(u, encodeDelete(u), func(off, rlen int64) {
-		if old, ok := s.idx[u]; ok {
-			s.liveBytes -= old.rlen
-			delete(s.idx, u)
-		}
-		s.hist.Clear(u)
-		s.lru.drop(u)
+	return s.stage(u, encodeDelete(u), func(off, rlen int64) {
+		s.dropIdxLocked(u)
 		s.notifyLocked(store.ApplyEvent{Kind: store.ApplyDelete, URN: u, PrevVersion: ent.ver})
-	})
+	}, durable)
+}
+
+// dropIdxLocked unpublishes a deleted object: index, history and cache.
+func (s *Store) dropIdxLocked(u urn.URN) {
+	if old, ok := s.idx[u]; ok {
+		s.liveBytes -= old.rlen
+		delete(s.idx, u)
+	}
+	s.hist.Clear(u)
+	s.lru.drop(u)
 }
 
 // InstallState implements store.Backend: whole-object install without an
 // expect check, refusing version regression, observer-silent.
 func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
+	return s.installState(obj, true)
+}
+
+func (s *Store) installState(obj *rdo.Object, durable bool) (uint64, error) {
 	ent, ok, err := s.begin(obj.URN)
 	if err != nil {
 		return 0, err
@@ -466,11 +655,11 @@ func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
 	}
 	cp := obj.Clone()
 	objBytes := cp.Encode()
-	err = s.commitRecord(cp.URN, encodeState(cp.URN, cp.Version, objBytes), func(off, rlen int64) {
+	err = s.stage(cp.URN, encodeState(cp.URN, cp.Version, objBytes), func(off, rlen int64) {
 		s.setIdxLocked(cp.URN, idxEnt{ver: cp.Version, off: off, rlen: rlen, typ: cp.Type, kind: recState})
 		s.hist.Clear(cp.URN)
 		s.lru.put(cp)
-	})
+	}, durable)
 	if err != nil {
 		return 0, err
 	}
@@ -480,7 +669,9 @@ func (s *Store) InstallState(obj *rdo.Object) (uint64, error) {
 // InstallDelete implements store.Backend: idempotent, observer-silent. The
 // interface carries no error; a segment failure here surfaces as poisoning
 // on the next mutation.
-func (s *Store) InstallDelete(u urn.URN) {
+func (s *Store) InstallDelete(u urn.URN) { s.installDelete(u, true) }
+
+func (s *Store) installDelete(u urn.URN, durable bool) {
 	_, ok, err := s.begin(u)
 	if err != nil {
 		return
@@ -489,14 +680,7 @@ func (s *Store) InstallDelete(u urn.URN) {
 		s.release(u)
 		return
 	}
-	s.commitRecord(u, encodeDelete(u), func(off, rlen int64) {
-		if old, ok := s.idx[u]; ok {
-			s.liveBytes -= old.rlen
-			delete(s.idx, u)
-		}
-		s.hist.Clear(u)
-		s.lru.drop(u)
-	})
+	s.stage(u, encodeDelete(u), func(off, rlen int64) { s.dropIdxLocked(u) }, durable)
 }
 
 // Get implements store.Backend: a cache hit clones the resident object; a
@@ -504,7 +688,9 @@ func (s *Store) InstallDelete(u urn.URN) {
 // admits it to the LRU, and counts a cold fault. The pread runs under the
 // read lock so compaction cannot swap the segment mid-read.
 func (s *Store) Get(u urn.URN) (*rdo.Object, error) {
-	s.mu.RLock()
+	if err := s.rlockTouched(u); err != nil {
+		return nil, err
+	}
 	ent, ok := s.idx[u]
 	if !ok {
 		s.mu.RUnlock()
@@ -530,7 +716,9 @@ func (s *Store) Get(u urn.URN) (*rdo.Object, error) {
 
 // Version implements store.Backend — index-only, never touches disk.
 func (s *Store) Version(u urn.URN) (uint64, error) {
-	s.mu.RLock()
+	if err := s.rlockTouched(u); err != nil {
+		return 0, err
+	}
 	defer s.mu.RUnlock()
 	ent, ok := s.idx[u]
 	if !ok {
@@ -544,7 +732,9 @@ func (s *Store) Version(u urn.URN) (uint64, error) {
 // the segment at Open and persisted through compaction, so deltas keep
 // working across restarts.
 func (s *Store) OpsSince(u urn.URN, from uint64) ([]rdo.Invocation, uint64, bool) {
-	s.mu.RLock()
+	if s.rlockTouched(u) != nil {
+		return nil, 0, false
+	}
 	defer s.mu.RUnlock()
 	ent, ok := s.idx[u]
 	if !ok {
@@ -575,7 +765,9 @@ const maxStreamChain = 1 << 16
 // pass retains only one offset per version, and the forward pass re-reads
 // one record at a time.
 func (s *Store) StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs []rdo.Invocation, src string, obj []byte) error) (bool, error) {
-	s.mu.RLock()
+	if err := s.rlockTouched(u); err != nil {
+		return false, err
+	}
 	ent, ok := s.idx[u]
 	seg := s.seg
 	s.mu.RUnlock()
@@ -625,7 +817,9 @@ func (s *Store) CacheBytes() int64 { return s.lru.maxBytes() }
 // redelivery detection holds even when the store's fsync won the race
 // against the session journal's before a crash.
 func (s *Store) WasCommitted(u urn.URN, base uint64, invs []rdo.Invocation, src string) bool {
-	s.mu.RLock()
+	if s.rlockTouched(u) != nil {
+		return false
+	}
 	defer s.mu.RUnlock()
 	return s.hist.WasCommitted(u, base, invs, src)
 }
@@ -778,6 +972,9 @@ func (s *Store) LoadSnapshot(data []byte) error {
 		s.compacting = false
 		s.cond.Broadcast()
 	}()
+	if err := s.drainLocked(); err != nil {
+		return err
+	}
 
 	urns := make([]urn.URN, 0, len(objs))
 	for u := range objs {
@@ -821,8 +1018,15 @@ func (s *Store) maybeCompact() {
 		return
 	}
 	s.compacting = true
+	defer func() {
+		s.compacting = false
+		s.cond.Broadcast()
+	}()
 	for len(s.committing) > 0 {
 		s.cond.Wait()
+	}
+	if s.drainLocked() != nil {
+		return
 	}
 	err := s.rewriteLocked(func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error {
 		urns := make([]urn.URN, 0, len(s.idx))
@@ -855,8 +1059,6 @@ func (s *Store) maybeCompact() {
 	if err == nil {
 		s.compactions++
 	}
-	s.compacting = false
-	s.cond.Broadcast()
 }
 
 // rewriteLocked builds a fresh segment at path+".compact" via write, makes
@@ -878,6 +1080,7 @@ func (s *Store) rewriteLocked(write func(tmp *stable.SegmentFile, add func(urn.U
 	}
 	abort := func(err error) error {
 		tmp.Close()
+		addStats(&s.segBase, tmp.Stats())
 		os.Remove(tmpPath)
 		return err
 	}
@@ -897,6 +1100,7 @@ func (s *Store) rewriteLocked(write func(tmp *stable.SegmentFile, add func(urn.U
 	old := s.seg
 	s.seg = tmp
 	old.Close()
+	addStats(&s.segBase, old.Stats())
 	s.idx = newIdx
 	s.liveBytes = live
 	s.segFooterBytes = tmp.Size() - foot.off
@@ -926,12 +1130,27 @@ func (s *Store) Occupancy() store.Occupancy {
 	}
 }
 
-// SegmentStats returns the segment's stable-log counters (appends, syncs,
-// batched commits) — fsync-economics accounting for the bench harness.
+// SegmentStats returns the store's stable-log counters (appends, syncs,
+// bytes) — fsync-economics accounting for stats lines and benchmarks. They
+// are cumulative over the store's lifetime: the counters of segments that
+// compaction and LoadSnapshot retired are carried into the total, and the
+// rewrites' own writes and fsyncs count too.
 func (s *Store) SegmentStats() stable.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.seg.Stats()
+	t := s.segBase
+	addStats(&t, s.seg.Stats())
+	return t
+}
+
+func addStats(dst *stable.Stats, st stable.Stats) {
+	dst.Appends += st.Appends
+	dst.Removes += st.Removes
+	dst.Syncs += st.Syncs
+	dst.SyncNanos += st.SyncNanos
+	dst.BytesWritten += st.BytesWritten
+	dst.BytesLogical += st.BytesLogical
+	dst.Compactions += st.Compactions
 }
 
 // TornTail reports the torn trailing record recovery truncated at Open
@@ -950,8 +1169,8 @@ func (s *Store) Poisoned() error {
 }
 
 // Close implements store.Backend: refuses new mutations, drains in-flight
-// committers, and closes the segment (whose Close performs a final safety
-// sync). Reads fail afterwards.
+// committers, syncs and publishes staged records, and closes the segment
+// (whose Close performs a final safety sync). Reads fail afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -965,13 +1184,14 @@ func (s *Store) Close() error {
 	for len(s.committing) > 0 {
 		s.cond.Wait()
 	}
+	drainErr := s.drainLocked()
 	// Leave a fresh index footer behind so the next Open skips the scan.
 	// The chunks ride the final safety sync inside seg.Close; the sidecar
 	// is only written once that sync succeeded, so it never points at
 	// records that might not be durable.
 	wroteFooter := false
 	var foot footerInfo
-	if !s.cleanFooter && s.seg.Poisoned() == nil {
+	if !s.cleanFooter && drainErr == nil && s.seg.Poisoned() == nil {
 		if f, ferr := appendFooter(s.seg, s.idx); ferr == nil {
 			foot, wroteFooter = f, true
 		}
@@ -979,6 +1199,9 @@ func (s *Store) Close() error {
 	err := s.seg.Close()
 	if wroteFooter && err == nil {
 		s.writeSidecar(foot)
+	}
+	if err == nil {
+		err = drainErr
 	}
 	s.cond.Broadcast()
 	return err
