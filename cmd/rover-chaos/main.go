@@ -62,7 +62,6 @@ var (
 	schedules    = flag.Int("schedules", 25, "number of fault schedules per scenario")
 	seed         = flag.Int64("seed", 1, "base seed; schedule i uses seed+i")
 	scenarioFlag = flag.String("scenario", "", "scenario to run: all, sim, pipe, mail, crash, crash-server, crash-primary")
-	transport_   = flag.String("transport", "", "deprecated alias for -scenario")
 	verbose      = flag.Bool("v", false, "print per-schedule stats")
 	compress     = flag.Bool("compress", false, "clients advertise the compressed-batch capability (exercises the fault schedules over compressed frames)")
 	journShards  = flag.Int("journal-shards", 1, "crash-server: session journal shard count (torn tails and dirty appends land on random shards)")
@@ -144,9 +143,6 @@ type runner struct {
 func main() {
 	flag.Parse()
 	scenario := *scenarioFlag
-	if scenario == "" {
-		scenario = *transport_ // historical flag name, kept as an alias
-	}
 	if scenario == "" {
 		scenario = "all"
 	}

@@ -160,7 +160,8 @@ func main() {
 }
 
 // logStats prints one periodic line of operational counters: engine
-// activity (including journal health and replicated replies), admission and
+// activity (executions, and among them the read-only ones that skipped the
+// journal; journal health and replicated replies), admission and
 // budget refusals, reply-cache traffic, journal fsync economics (fsyncs per
 // executed op and the measured fsync latency), per-shard journal depths,
 // store occupancy and, for the disk store, its segment fsyncs per executed
@@ -170,8 +171,8 @@ func logStats(srv *rover.Server) {
 	es := srv.Engine().Stats()
 	ss := srv.ServerStats()
 	line := fmt.Sprintf(
-		"stats: sessions=%d reqs=%d exec=%d replays=%d journalRefused=%d replicatedReplies=%d deltasServed=%d deltaFallbacks=%d dupExports=%d",
-		srv.Engine().SessionCount(), es.Requests, es.Executed, es.ReplaysServed, es.JournalRefused, es.ReplicatedReplies,
+		"stats: sessions=%d reqs=%d exec=%d reads=%d replays=%d journalRefused=%d replicatedReplies=%d deltasServed=%d deltaFallbacks=%d dupExports=%d",
+		srv.Engine().SessionCount(), es.Requests, es.Executed, es.ReadsExecuted, es.ReplaysServed, es.JournalRefused, es.ReplicatedReplies,
 		ss.DeltasServed, ss.DeltaFallbacks, ss.DuplicateExports)
 	line += fmt.Sprintf(" | admission: refused=%d budgetRefused=%d | replyCache: hits=%d misses=%d evictions=%d",
 		es.SessionsRefused, es.BudgetRefused, es.ReplyCacheHits, es.ReplyCacheMisses, es.ReplyCacheEvictions)

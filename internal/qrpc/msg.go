@@ -70,8 +70,10 @@ func (m *Hello) UnmarshalWire(r *wire.Reader) error {
 type Welcome struct {
 	ServerID string
 	// HighSeq is the highest sequence number the server has executed for
-	// this client (diagnostic; redelivery correctness does not depend on
-	// it).
+	// this client. After a server restart it is the highest journaled seq:
+	// a read-only request writes no exec record, so its seq counts only if
+	// a compaction snapshot captured it. Diagnostic only; no client reads
+	// it, and redelivery correctness does not depend on it.
 	HighSeq uint64
 	// Caps is the intersection of the client's advertised capabilities and
 	// the server's own. Zero is omitted from the encoding, and a server

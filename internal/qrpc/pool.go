@@ -31,6 +31,7 @@ type poolTask struct {
 	clientID string
 	sess     *session
 	handler  Handler
+	read     bool // registered with RegisterRead: no exec record, not cached
 	req      Request
 }
 
@@ -183,7 +184,7 @@ func (p *workerPool) runChunk(tasks []poolTask) {
 			flush()
 			to = t.from
 		}
-		rep, enc := p.srv.execute(t.sess, t.clientID, t.handler, t.req)
+		rep, enc := p.srv.execute(*t)
 		if rep == nil {
 			// Journal refused the execute (poisoned): nothing to release.
 			continue

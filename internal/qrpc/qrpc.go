@@ -107,8 +107,12 @@ type ClientStats struct {
 
 // ServerStats counts server-engine activity.
 type ServerStats struct {
-	Requests      int64
+	Requests int64
+	// Executed counts every handler execution. ReadsExecuted counts the
+	// read-only ones among them (RegisterRead): released without an exec
+	// record or a durability wait, and not cached.
 	Executed      int64
+	ReadsExecuted int64
 	ReplaysServed int64 // duplicate requests answered from the reply cache
 	Dropped       int64 // stale duplicates dropped
 	AcksReceived  int64

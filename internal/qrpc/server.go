@@ -140,16 +140,19 @@ type Server struct {
 	mu       sync.Mutex
 	cfg      ServerConfig
 	handlers map[string]Handler
+	reads    map[string]bool // services registered with RegisterRead
 	sessions map[string]*session
 	conns    map[Sender]*conn
 	stats    ServerStats
 	pool     *workerPool // nil in inline mode
 
-	// onExecuted, when set (SetOnExecuted), observes every execution after
-	// its reply is recorded in the session cache (and journaled), with the
-	// reply's wire encoding so observers need not re-marshal. The
-	// replication layer streams these to the peer so a failed-over client's
-	// redeliveries are answered from cache there too. Runs outside mu.
+	// onExecuted, when set (SetOnExecuted), observes every journaled
+	// execution after its reply is recorded in the session cache (and
+	// journaled), with the reply's wire encoding so observers need not
+	// re-marshal. The replication layer streams these to the peer so a
+	// failed-over client's redeliveries are answered from cache there too.
+	// Read-only executions are not observed: a redelivered read runs again
+	// wherever it lands. Runs outside mu.
 	onExecuted func(clientID string, req Request, rep *Reply, enc []byte)
 
 	// durable is the durability barrier (SetDurable), or nil.
@@ -180,6 +183,7 @@ func NewServer(cfg ServerConfig) *Server {
 	s := &Server{
 		cfg:      cfg,
 		handlers: make(map[string]Handler),
+		reads:    make(map[string]bool),
 		sessions: make(map[string]*session),
 		conns:    make(map[Sender]*conn),
 	}
@@ -204,11 +208,26 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Register installs a service handler.
-func (s *Server) Register(service string, h Handler) {
+// Register installs a service handler. Its executions are journaled: the
+// reply is write-ahead-logged and cached until acknowledged, so a
+// redelivered request is answered, never run twice.
+func (s *Server) Register(service string, h Handler) { s.register(service, h, false) }
+
+// RegisterRead installs a read-only service handler. It runs under the same
+// per-session FIFO, dispatch mark and poisoned-journal refusal as any other
+// request, but its reply is released without an exec record, without the
+// durability barrier or a journal commit, is not cached, and is not passed
+// to the onExecuted hook; a redelivered read runs again. That is sound only
+// for a handler that changes no state and reads only published (durable)
+// state, so that no reply shows state a crash could lose and a re-run after
+// a crash or failover sees state at least as new (DESIGN §8).
+func (s *Server) RegisterRead(service string, h Handler) { s.register(service, h, true) }
+
+func (s *Server) register(service string, h Handler, read bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.handlers[service] = h
+	s.reads[service] = read
 }
 
 // OnConnect registers a transport. Nothing is sent until its Hello.
@@ -491,24 +510,24 @@ func (s *Server) onRequest(from Sender, payload []byte, now vtime.Time, out *[]w
 		s.mu.Unlock()
 		return
 	}
-	handler := s.handlers[req.Service]
+	task := poolTask{from: from, clientID: cn.clientID, sess: sess,
+		handler: s.handlers[req.Service], read: s.reads[req.Service], req: req}
 	// Marking the request executing at DISPATCH time — before the handler
 	// runs, whether inline or queued to the pool — is what keeps redelivered
 	// duplicates from executing twice while the first copy is in flight.
 	sess.executing[req.Seq] = true
-	clientID := cn.clientID
 	pool := s.pool
 	s.mu.Unlock()
 
 	if pool != nil {
-		pool.submit(poolTask{from: from, clientID: clientID, sess: sess, handler: handler, req: req})
+		pool.submit(task)
 		return
 	}
 	// Inline mode: execute here (outside the lock; handlers may be slow and
 	// may re-enter the server, e.g. SendCallback) and coalesce the reply
 	// with the rest of the batch's output. A nil reply means the journal
 	// refused the execute; nothing may be released.
-	if rep, enc := s.execute(sess, clientID, handler, req); rep != nil {
+	if rep, enc := s.execute(task); rep != nil {
 		*out = append(*out, wire.Frame{Type: wire.FrameReply, Payload: enc})
 	}
 }
@@ -557,21 +576,27 @@ func (s *Server) refuse(err error, tasks ...poolTask) {
 // journal refused the execute (poisoned mid-dispatch or the exec append
 // failed): the handler may or may not have run, nothing is released, and
 // the client redelivers to a future, repaired incarnation whose recovery
-// decides from the journal alone.
-func (s *Server) execute(sess *session, clientID string, handler Handler, req Request) (*Reply, []byte) {
-	task := poolTask{clientID: clientID, sess: sess, req: req}
+// decides from the journal alone. A read-only task returns right after its
+// handler: no barrier, no exec record, nothing cached.
+func (s *Server) execute(task poolTask) (*Reply, []byte) {
 	if s.hasJournal() && s.JournalError() != nil {
 		// Poisoned between dispatch and execution (e.g. a queued pool task
 		// behind the append that failed): refuse before running the handler.
 		s.refuse(nil, task)
 		return nil, nil
 	}
-	rep := runHandler(clientID, handler, req)
+	rep := runHandler(task.clientID, task.handler, task.req)
+	enc := wire.Marshal(rep)
+	if task.read {
+		s.mu.Lock()
+		s.finishReadLocked(&task)
+		s.mu.Unlock()
+		return rep, enc
+	}
 	if err := s.barrier(); err != nil {
 		s.refuse(nil, task)
 		return nil, nil
 	}
-	enc := wire.Marshal(rep)
 
 	journaled := false
 	var jid uint64
@@ -582,9 +607,9 @@ func (s *Server) execute(sess *session, clientID string, handler Handler, req Re
 		// different shards' leaders fsync in parallel — so this is
 		// amortized, not one sync per request. The gate's read side is held
 		// across append AND the bookkeeping below — see journalShard.gate.
-		sh = s.lockShardFor(clientID)
+		sh = s.lockShardFor(task.clientID)
 		defer sh.gate.RUnlock()
-		id, err := sh.log.Append(encodeExecRecordEnc(clientID, enc))
+		id, err := sh.log.Append(encodeExecRecordEnc(task.clientID, enc))
 		if err != nil {
 			s.refuse(err, task)
 			return nil, nil
@@ -593,14 +618,7 @@ func (s *Server) execute(sess *session, clientID string, handler Handler, req Re
 	}
 
 	s.mu.Lock()
-	delete(sess.executing, req.Seq)
-	sess.replies[req.Seq] = rep
-	sess.replyBytes += replyApproxSize(rep)
-	if req.Seq > sess.maxExec {
-		sess.maxExec = req.Seq
-	}
-	s.stats.Executed++
-	s.stats.ReplyCacheEvictions += s.replyCache.put(clientID, req.Seq, enc)
+	s.finishWriteLocked(&task, rep, enc)
 	var compact bool
 	if journaled {
 		sh.ids = append(sh.ids, jid)
@@ -613,9 +631,35 @@ func (s *Server) execute(sess *session, clientID string, handler Handler, req Re
 		go s.compactJournal(sh.idx)
 	}
 	if hook != nil {
-		hook(clientID, req, rep, enc)
+		hook(task.clientID, task.req, rep, enc)
 	}
 	return rep, enc
+}
+
+// finishWriteLocked publishes an executed, journaled task: it clears the
+// dispatch mark and caches the reply until the client acknowledges it.
+func (s *Server) finishWriteLocked(t *poolTask, rep *Reply, enc []byte) {
+	sess := t.sess
+	delete(sess.executing, t.req.Seq)
+	sess.replies[t.req.Seq] = rep
+	sess.replyBytes += replyApproxSize(rep)
+	if t.req.Seq > sess.maxExec {
+		sess.maxExec = t.req.Seq
+	}
+	s.stats.Executed++
+	s.stats.ReplyCacheEvictions += s.replyCache.put(t.clientID, t.req.Seq, enc)
+}
+
+// finishReadLocked completes a read-only task: it clears the dispatch mark
+// and advances maxExec, but caches nothing, so a redelivery runs the read
+// again.
+func (s *Server) finishReadLocked(t *poolTask) {
+	delete(t.sess.executing, t.req.Seq)
+	if t.req.Seq > t.sess.maxExec {
+		t.sess.maxExec = t.req.Seq
+	}
+	s.stats.Executed++
+	s.stats.ReadsExecuted++
 }
 
 // runHandler executes one request's handler and builds its reply. Handler
@@ -636,8 +680,8 @@ func runHandler(clientID string, handler Handler, req Request) *Reply {
 }
 
 // stagedExec is one executed task of a batched chunk: the handler has run
-// and its exec record is written to the home shard, but nothing is
-// published until the chunk's single commit lands.
+// and (unless the task is a read) its exec record is written to the home
+// shard, but nothing is published until the chunk's single commit lands.
 type stagedExec struct {
 	task poolTask
 	rep  *Reply
@@ -661,6 +705,11 @@ type stagedExec struct {
 // (sess.executing) stay set, so a concurrent redelivery is dropped rather
 // than answered from a reply whose journal record is not yet durable —
 // WAL-before-release is never weakened.
+//
+// Read-only tasks run in their place in the chunk's handler order but
+// append no record. A chunk of reads alone runs no barrier and no commit,
+// so hints staged on the shard stay staged; a mixed chunk keeps the order
+// above and releases its reads with its writes, after the commit.
 //
 // ok=false means the chunk cannot take this path (no journal, or the
 // shard's log cannot stage appends); the caller falls back to per-task
@@ -688,53 +737,58 @@ func (s *Server) executeChunkBatched(tasks []poolTask) (staged []stagedExec, ok 
 		return nil, true
 	}
 	staged = make([]stagedExec, len(tasks))
+	writes := 0
 	for i := range tasks {
 		t := &tasks[i]
 		rep := runHandler(t.clientID, t.handler, t.req)
 		staged[i] = stagedExec{task: *t, rep: rep, enc: wire.Marshal(rep)}
-	}
-	if err := s.barrier(); err != nil {
-		s.refuse(nil, tasks...)
-		return nil, true
-	}
-	// Every handler of the run has executed, so every exec record is
-	// attempted even after one fails: a task whose handler ran but whose
-	// record was never written would execute again in the next incarnation.
-	// The commit after a failure is best effort for the same reason; the
-	// run is refused either way.
-	var appendErr error
-	for i := range staged {
-		st := &staged[i]
-		jid, err := sh.batch.AppendNoSync(encodeExecRecordEnc(st.task.clientID, st.enc))
-		if err != nil && appendErr == nil {
-			appendErr = err
+		if !t.read {
+			writes++
 		}
-		st.jid = jid
 	}
-	err := sh.batch.Commit()
-	if appendErr != nil {
-		err = appendErr
-	}
-	if err != nil {
-		s.refuse(err, tasks...)
-		return nil, true
+	if writes > 0 {
+		if err := s.barrier(); err != nil {
+			s.refuse(nil, tasks...)
+			return nil, true
+		}
+		// Every handler of the run has executed, so every exec record is
+		// attempted even after one fails: a task whose handler ran but whose
+		// record was never written would execute again in the next
+		// incarnation. The commit after a failure is best effort for the
+		// same reason; the run is refused either way.
+		var appendErr error
+		for i := range staged {
+			st := &staged[i]
+			if st.task.read {
+				continue
+			}
+			jid, err := sh.batch.AppendNoSync(encodeExecRecordEnc(st.task.clientID, st.enc))
+			if err != nil && appendErr == nil {
+				appendErr = err
+			}
+			st.jid = jid
+		}
+		err := sh.batch.Commit()
+		if appendErr != nil {
+			err = appendErr
+		}
+		if err != nil {
+			s.refuse(err, tasks...)
+			return nil, true
+		}
 	}
 	s.mu.Lock()
 	for i := range staged {
 		st := &staged[i]
-		sess := st.task.sess
-		delete(sess.executing, st.task.req.Seq)
-		sess.replies[st.task.req.Seq] = st.rep
-		sess.replyBytes += replyApproxSize(st.rep)
-		if st.task.req.Seq > sess.maxExec {
-			sess.maxExec = st.task.req.Seq
+		if st.task.read {
+			s.finishReadLocked(&st.task)
+			continue
 		}
-		s.stats.Executed++
-		s.stats.ReplyCacheEvictions += s.replyCache.put(st.task.clientID, st.task.req.Seq, st.enc)
+		s.finishWriteLocked(&st.task, st.rep, st.enc)
 		sh.ids = append(sh.ids, st.jid)
 		s.stats.JournalRecords++
 	}
-	compact := s.shouldCompactLocked(sh)
+	compact := writes > 0 && s.shouldCompactLocked(sh)
 	hook := s.onExecuted
 	s.mu.Unlock()
 	if compact {
@@ -742,7 +796,9 @@ func (s *Server) executeChunkBatched(tasks []poolTask) (staged []stagedExec, ok 
 	}
 	if hook != nil {
 		for i := range staged {
-			hook(staged[i].task.clientID, staged[i].task.req, staged[i].rep, staged[i].enc)
+			if !staged[i].task.read {
+				hook(staged[i].task.clientID, staged[i].task.req, staged[i].rep, staged[i].enc)
+			}
 		}
 	}
 	return staged, true

@@ -477,3 +477,83 @@ func pairClient(t *testing.T, p *pair, i int) (*rover.Client, *transport.Sim) {
 	}
 	return cli, sim
 }
+
+// TestPairRedeliveredImportRunsAgainAtReplica: imports are read-only, so
+// their replies are not streamed to the peer and the peer installs nothing
+// for them. A client whose import reply is lost in the primary's crash
+// fails over, and the survivor answers the redelivered import by running
+// it again, against the replicated state.
+func TestPairRedeliveredImportRunsAgainAtReplica(t *testing.T) {
+	p := newPair(t)
+	u := rover.MustParseURN("urn:rover:pair/counter")
+	if err := p.srvs[0].Seed(counterObject(u)); err != nil {
+		t.Fatal(err)
+	}
+	writer, _ := pairClient(t, p, 0)
+	for i := 0; i < 3; i++ {
+		if _, err := writer.Invoke(u, "bump", fmt.Sprintf("k%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.drain(t)
+	p.requireConverged(t)
+	streamed, installed := p.reps[0].Stats().ExecsStreamed, p.reps[1].Stats().ExecInstalled
+	if streamed == 0 || installed != streamed {
+		t.Fatalf("writes: %d exec records streamed, %d installed", streamed, installed)
+	}
+
+	reader, err := rover.NewClient(rover.ClientOptions{ClientID: "pair-test-reader", Clock: p.clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reader.Close() })
+	p.simSeed++
+	link := transport.NewSim(p.sched, netsim.WaveLAN2, p.simSeed, reader.Engine(), p.srvs[0].Engine())
+	reader.AttachTransport(link)
+	imp := reader.Import(u, rover.ImportOptions{})
+	// Run until the primary has executed the import, then lose its reply
+	// with the primary.
+	reads := p.srvs[0].Engine().Stats().ReadsExecuted
+	for p.srvs[0].Engine().Stats().ReadsExecuted == reads {
+		if !p.sched.Step() {
+			t.Fatal("the import never reached the primary")
+		}
+	}
+	link.Duplex().SetUp(false)
+	p.links[0].Duplex().SetUp(false)
+	p.links[1].Duplex().SetUp(false)
+	p.drain(t)
+	if _, _, ok := imp.Result(); ok {
+		t.Fatal("import completed although its reply was lost")
+	}
+	if got := p.reps[0].Stats().ExecsStreamed; got != streamed {
+		t.Fatalf("the import's reply was streamed: %d exec records, want %d", got, streamed)
+	}
+
+	p.simSeed++
+	reader.AttachTransport(transport.NewSim(p.sched, netsim.WaveLAN2, p.simSeed, reader.Engine(), p.srvs[1].Engine()))
+	p.drain(t)
+	obj, err, ok := imp.Result()
+	if !ok || err != nil {
+		t.Fatalf("redelivered import did not complete at the survivor: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := obj.Get(fmt.Sprintf("k%d", i)); !ok {
+			t.Errorf("imported object missing k%d", i)
+		}
+	}
+	want, err := p.srvs[1].Store().Get(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj.Version != want.Version || !bytes.Equal(obj.Encode(), want.Encode()) {
+		t.Fatalf("imported v%d differs from the survivor's v%d", obj.Version, want.Version)
+	}
+	es := p.srvs[1].Engine().Stats()
+	if es.ReadsExecuted == 0 || es.ReplaysServed != 0 {
+		t.Fatalf("survivor: reads=%d replays=%d, want the import run again, not replayed", es.ReadsExecuted, es.ReplaysServed)
+	}
+	if got := p.reps[1].Stats().ExecInstalled; got != installed {
+		t.Fatalf("survivor installed %d exec replies, want %d (none for the import)", got, installed)
+	}
+}

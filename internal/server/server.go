@@ -108,14 +108,18 @@ func New(cfg Config) (*Server, error) {
 	if s.resolvers == nil {
 		s.resolvers = resolve.NewRegistry(nil)
 	}
-	cfg.Engine.Register(proto.SvcImport, s.handleImport)
+	// Reads skip the session journal: they read only published state
+	// through s.store (never the staged view, and a staged object's Get
+	// syncs it first), so no reply shows state a crash could lose, and a
+	// redelivered read simply runs again against recovered state.
+	cfg.Engine.RegisterRead(proto.SvcImport, s.handleImport)
+	cfg.Engine.RegisterRead(proto.SvcStat, s.handleStat)
+	cfg.Engine.RegisterRead(proto.SvcList, s.handleList)
+	cfg.Engine.RegisterRead(proto.SvcConflicts, s.handleConflicts)
 	cfg.Engine.Register(proto.SvcExport, s.handleExport)
 	cfg.Engine.Register(proto.SvcInvoke, s.handleInvoke)
 	cfg.Engine.Register(proto.SvcCreate, s.handleCreate)
-	cfg.Engine.Register(proto.SvcStat, s.handleStat)
-	cfg.Engine.Register(proto.SvcList, s.handleList)
 	cfg.Engine.Register(proto.SvcSubscribe, s.handleSubscribe)
-	cfg.Engine.Register(proto.SvcConflicts, s.handleConflicts)
 	cfg.Engine.Register(proto.SvcCheckout, s.handleCheckout)
 	cfg.Engine.Register(proto.SvcCheckin, s.handleCheckin)
 	return s, nil

@@ -154,16 +154,6 @@ type Options struct {
 	// NoSync disables the per-append fsync entirely (unsafe; for measuring
 	// the flush's share of the critical path).
 	NoSync bool
-	// GroupCommit is a compatibility alias. Earlier versions deferred the
-	// fsync until every GroupCommit-th append, trading durability for
-	// throughput; FileLog now always group-commits WITHOUT weakening
-	// durability — concurrent appenders coalesce onto a single in-flight
-	// fsync [Hagmann 87] and each Append returns only once its own record
-	// is on disk — so the count is no longer consulted. The field remains
-	// so existing Options literals and ablation configs keep compiling and
-	// printing; its throughput benefit now comes for free under concurrency
-	// (see FileLog.commitLocked and the A-GROUP ablation).
-	GroupCommit int
 	// Compress flate-compresses record payloads larger than 64 bytes. The
 	// paper's prototype "does not perform any compression on the log".
 	Compress bool
@@ -183,5 +173,5 @@ func (o Options) compactFactor() int {
 }
 
 func (o Options) String() string {
-	return fmt.Sprintf("sync=%v group=%d compress=%v", !o.NoSync, o.GroupCommit, o.Compress)
+	return fmt.Sprintf("sync=%v compress=%v", !o.NoSync, o.Compress)
 }

@@ -394,13 +394,10 @@ func TestCompressionReducesBytes(t *testing.T) {
 
 // TestGroupCommitSerialSyncsEveryAppend pins the durability contract: with
 // no concurrency there is nothing to coalesce, so every append pays its own
-// fsync — group commit never defers durability the way the old count-based
-// GroupCommit option did.
+// fsync — group commit never defers durability.
 func TestGroupCommitSerialSyncsEveryAppend(t *testing.T) {
 	dir := t.TempDir()
-	// GroupCommit is a compatibility alias now; setting it must not change
-	// the serial behavior.
-	l, err := OpenFileLog(filepath.Join(dir, "wal"), Options{GroupCommit: 10})
+	l, err := OpenFileLog(filepath.Join(dir, "wal"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,8 +521,8 @@ func TestMemLogFailureInjection(t *testing.T) {
 }
 
 func TestOptionsString(t *testing.T) {
-	s := Options{GroupCommit: 5, Compress: true}.String()
-	if s != "sync=true group=5 compress=true" {
+	s := Options{Compress: true}.String()
+	if s != "sync=true compress=true" {
 		t.Errorf("Options.String = %q", s)
 	}
 }
