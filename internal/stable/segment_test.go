@@ -2,11 +2,8 @@ package stable
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -91,69 +88,6 @@ func TestSegmentScanAfterReopen(t *testing.T) {
 	}
 }
 
-func TestSegmentTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seg")
-	s, _ := openSeg(t, path, Options{})
-	if _, err := s.Append([]byte("intact")); err != nil {
-		t.Fatal(err)
-	}
-	goodSize := s.Size()
-	if _, err := s.Append([]byte("will be torn")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Chop the last record mid-way: the crash-mid-append signature.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:goodSize+3], 0o600); err != nil {
-		t.Fatal(err)
-	}
-	s2, got := openSeg(t, path, Options{})
-	defer s2.Close()
-	if len(got) != 1 {
-		t.Fatalf("recovered %d records, want 1", len(got))
-	}
-	terr := s2.TornTail()
-	var torn *TornTailError
-	if !errors.As(terr, &torn) || torn.Offset != goodSize {
-		t.Fatalf("TornTail = %v, want offset %d", terr, goodSize)
-	}
-	if s2.Size() != goodSize {
-		t.Fatalf("size %d after truncation, want %d", s2.Size(), goodSize)
-	}
-	// The segment stays appendable after truncation.
-	off, err := s2.Append([]byte("after"))
-	if err != nil || off != goodSize {
-		t.Fatalf("append after truncation: off=%d err=%v", off, err)
-	}
-}
-
-func TestSegmentInteriorCorruptionFailsOpen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seg")
-	s, _ := openSeg(t, path, Options{})
-	for i := 0; i < 3; i++ {
-		if _, err := s.Append([]byte(fmt.Sprintf("rec-%d-padding-padding", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[10] ^= 0xff // flip a byte inside the first record
-	if err := os.WriteFile(path, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSegmentFile(path, Options{}, nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open over interior corruption: %v", err)
-	}
-}
-
 func TestSegmentCompressedRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg")
 	s, _ := openSeg(t, path, Options{Compress: true})
@@ -174,80 +108,5 @@ func TestSegmentCompressedRoundTrip(t *testing.T) {
 	defer s2.Close()
 	if !bytes.Equal(got[off], payload) {
 		t.Fatal("scan after reopen lost the compressed payload")
-	}
-}
-
-func TestSegmentRenameKeepsHandle(t *testing.T) {
-	dir := t.TempDir()
-	tmp := filepath.Join(dir, "seg.compact")
-	final := filepath.Join(dir, "seg")
-	s, err := CreateSegmentFile(tmp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	off1, _ := s.Append([]byte("before rename"))
-	if err := s.Rename(final); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("old path still exists after rename")
-	}
-	off2, err := s.Append([]byte("after rename"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, off := range []int64{off1, off2} {
-		if _, err := s.ReadAt(off); err != nil {
-			t.Fatalf("ReadAt(%d) after rename: %v", off, err)
-		}
-	}
-	s.Close()
-	s2, got := openSeg(t, final, Options{})
-	defer s2.Close()
-	if len(got) != 2 {
-		t.Fatalf("reopen after rename saw %d records", len(got))
-	}
-}
-
-func TestSegmentConcurrentAppendGroupCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "seg")
-	s, _ := openSeg(t, path, Options{})
-	defer s.Close()
-	const workers = 8
-	const per = 40
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				off, err := s.AppendNoSync([]byte(fmt.Sprintf("w%d-%d", w, i)))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := s.Commit(); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := s.ReadAt(off); err != nil {
-					errs <- fmt.Errorf("readback: %w", err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Appends != workers*per {
-		t.Fatalf("appends %d", st.Appends)
-	}
-	if st.Syncs >= st.Appends {
-		t.Logf("no group-commit coalescing observed (%d syncs for %d appends)", st.Syncs, st.Appends)
 	}
 }

@@ -12,15 +12,18 @@
 // This package mirrors that prototype as the default — no compression,
 // every append durable before return — and provides the two optimizations
 // the paper cites as future work: flate compression (an option) and group
-// commit, which FileLog now performs unconditionally without weakening
-// durability by coalescing concurrent appenders onto one in-flight fsync.
-// The benchmark harness measures both as ablations (A-COMPRESS, A-GROUP).
+// commit, which every file this package writes performs unconditionally
+// without weakening durability by coalescing concurrent appenders onto one
+// in-flight fsync. The benchmark harness measures both as ablations
+// (A-COMPRESS, A-GROUP).
 //
 // Two implementations share the Log interface: FileLog, a crash-safe
 // append-only file used by real deployments and the crash-recovery tests,
 // and MemLog, an in-memory store with a modeled flush cost used under the
 // discrete-event simulator (where fsync time must be charged to virtual,
-// not wall, time).
+// not wall, time). FileLog and SegmentFile, the disk object store's
+// offset-addressed file, are thin views over one append-log core
+// (appender): one record format, one recovery scan, one group commit.
 package stable
 
 import (
@@ -148,6 +151,17 @@ type Stats struct {
 	Compactions  int64
 }
 
+// add folds o's counters into s.
+func (s *Stats) add(o Stats) {
+	s.Appends += o.Appends
+	s.Removes += o.Removes
+	s.Syncs += o.Syncs
+	s.SyncNanos += o.SyncNanos
+	s.BytesWritten += o.BytesWritten
+	s.BytesLogical += o.BytesLogical
+	s.Compactions += o.Compactions
+}
+
 // Options configure a log's durability/space trade-offs. The zero value is
 // the paper's prototype: synchronous flush per append, no compression.
 type Options struct {
@@ -160,16 +174,6 @@ type Options struct {
 	// FlushCost is the modeled per-append flush latency for MemLog. It is
 	// ignored by FileLog.
 	FlushCost time.Duration
-	// CompactFactor triggers FileLog compaction when the file holds more
-	// than CompactFactor× the live data (default 4; minimum 2).
-	CompactFactor int
-}
-
-func (o Options) compactFactor() int {
-	if o.CompactFactor < 2 {
-		return 4
-	}
-	return o.CompactFactor
 }
 
 func (o Options) String() string {

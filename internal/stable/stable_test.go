@@ -310,7 +310,7 @@ func TestFileLogTornTailTruncated(t *testing.T) {
 func TestFileLogCompaction(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal")
-	l, err := OpenFileLog(path, Options{CompactFactor: 2})
+	l, err := OpenFileLog(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,60 +422,85 @@ func TestGroupCommitSerialSyncsEveryAppend(t *testing.T) {
 }
 
 // TestGroupCommitCoalescesConcurrentAppends drives many concurrent
-// appenders and checks that they share fsyncs: while one flush is in
+// appenders through each view, durable Append and staged AppendNoSync plus
+// Commit alike, and checks that they share fsyncs: while one flush is in
 // flight, later appenders write behind it and ride the next one, so the
 // sync count comes out well under the append count — with every record
-// still durable (verified by reopening the log).
+// readable once its append returned, and durable (verified by reopening).
 func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal")
-	l, err := OpenFileLog(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const (
 		goroutines = 8
 		perG       = 25
 	)
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
-					errs <- err
-					return
-				}
+	for _, v := range views {
+		for _, staged := range []bool{false, true} {
+			name := v.name + "/Append"
+			if staged {
+				name = v.name + "/AppendNoSync"
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("concurrent Append: %v", err)
-	}
-	st := l.Stats()
-	if st.Appends != goroutines*perG {
-		t.Fatalf("Appends = %d, want %d", st.Appends, goroutines*perG)
-	}
-	// At least one coalescing event must have occurred under this much
-	// contention; typically syncs come out far below the append count.
-	if st.Syncs >= st.Appends {
-		t.Errorf("Syncs = %d not below Appends = %d: no group commit", st.Syncs, st.Appends)
-	}
-	t.Logf("group commit: %d appends shared %d fsyncs", st.Appends, st.Syncs)
-	l.Close()
+			t.Run(name, func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "log")
+				l, _, err := v.open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wg sync.WaitGroup
+				errs := make(chan error, goroutines)
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := 0; i < perG; i++ {
+							rec := fmt.Sprintf("g%d-%d", g, i)
+							var key int64
+							var err error
+							if staged {
+								if key, err = l.appendNoSync([]byte(rec)); err == nil {
+									err = l.Commit()
+								}
+							} else {
+								key, err = l.append([]byte(rec))
+							}
+							if err != nil {
+								errs <- err
+								return
+							}
+							if back, err := l.read(key); err != nil || string(back) != rec {
+								errs <- fmt.Errorf("readback of %q: %q, %v", rec, back, err)
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				close(errs)
+				for err := range errs {
+					t.Fatalf("concurrent append: %v", err)
+				}
+				st := l.Stats()
+				if st.Appends != goroutines*perG {
+					t.Fatalf("Appends = %d, want %d", st.Appends, goroutines*perG)
+				}
+				// At least one coalescing event must have occurred under this
+				// much contention; typically syncs come out far below the
+				// append count.
+				if st.Syncs >= st.Appends {
+					t.Errorf("Syncs = %d not below Appends = %d: no group commit", st.Syncs, st.Appends)
+				}
+				t.Logf("group commit: %d appends shared %d fsyncs", st.Appends, st.Syncs)
+				l.Close()
 
-	// Every append that returned success must survive reopen.
-	l2, err := OpenFileLog(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.Len() != goroutines*perG {
-		t.Errorf("recovered %d records, want %d", l2.Len(), goroutines*perG)
+				// Every append that returned success must survive reopen.
+				l2, got, err := v.open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l2.Close()
+				if len(got) != goroutines*perG {
+					t.Errorf("recovered %d records, want %d", len(got), goroutines*perG)
+				}
+			})
+		}
 	}
 }
 

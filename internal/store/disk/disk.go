@@ -24,7 +24,8 @@ const (
 
 // SegmentName is the segment file inside Options.Dir. Compaction writes
 // SegmentName + ".compact" beside it and renames over it atomically; a
-// surviving .compact file is always a crash leftover and is removed at Open.
+// surviving .compact file is always a crash leftover, and opening the
+// segment removes it.
 const SegmentName = "store.seg"
 
 // ErrClosed is returned by operations on a closed store.
@@ -84,10 +85,11 @@ type idxEnt struct {
 //     different objects proceed concurrently and coalesce onto one fsync.
 //   - Compaction gate: the compactor excludes new mutations, drains
 //     in-flight committers, syncs and publishes staged records, rewrites
-//     every live object (plus its history window) into a fresh segment,
-//     fsyncs, renames over the old path, and swaps — readers are excluded
-//     only during the rewrite itself. Close and LoadSnapshot drain staged
-//     records the same way before they write a footer or rewrite.
+//     every live object (plus its history window) into a fresh file, and
+//     replaces the segment with it in place (fsync, rename, directory
+//     fsync, handle swap) — readers are excluded only during the rewrite
+//     itself. Close and LoadSnapshot drain staged records the same way
+//     before they write a footer or rewrite.
 //
 // The conflict repair queue is memory-only, as on the in-memory backend:
 // conflicts are an operator-facing inbox, not committed object state.
@@ -126,7 +128,7 @@ type Store struct {
 	liveBytes        int64
 	compactions      int64
 	coldFaults       atomic.Int64
-	segBase          stable.Stats // counters of segments retired by rewrites
+	rewrites         uint64 // segment replaces; each moves every offset
 
 	// Footer bookkeeping. segFooterBytes is the weight of 'X' records in
 	// the current segment (excluded from the compaction dead-weight test —
@@ -167,12 +169,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if err := os.MkdirAll(opts.Dir, 0o700); err != nil {
 		return nil, fmt.Errorf("disk: %w", err)
-	}
-	// The rename is compaction's atomic switch; a surviving .compact file
-	// is garbage from a crash mid-rewrite.
-	leftovers, _ := filepath.Glob(filepath.Join(opts.Dir, "*.compact"))
-	for _, p := range leftovers {
-		os.Remove(p)
 	}
 	s := &Store{
 		path:       filepath.Join(opts.Dir, SegmentName),
@@ -351,9 +347,9 @@ func (s *Store) stage(u urn.URN, rec []byte, publish func(off, rlen int64), dura
 // in append order — index, LRU, history, observer. With nothing staged it
 // costs nothing. A failed Sync is sticky: every staged record is dropped,
 // never published, and every later Sync and mutation returns the error. A
-// commit that fails with stable.ErrClosed because a compaction swap or
-// Close retired the segment is not a failure: the swap drained and
-// published those records first.
+// commit that fails with stable.ErrClosed because Close retired the
+// segment meanwhile is not a failure: Close drained and published those
+// records first.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	if s.syncErr != nil || len(s.pending) == 0 {
@@ -756,10 +752,10 @@ const maxStreamChain = 1 << 16
 // the in-memory history window pruned those versions.
 //
 // ok=false with a nil error means the delta cannot be served — the object
-// reached its version through an opaque jump, the chain left the current
-// segment (compaction swapped it mid-walk), or the span is unreasonable —
-// and the caller should fall back to full-state transfer. An error from fn
-// aborts the stream and is returned as (false, err).
+// reached its version through an opaque jump, a rewrite (compaction or
+// LoadSnapshot) moved the chain's offsets mid-walk, or the span is
+// unreasonable — and the caller should fall back to full-state transfer.
+// An error from fn aborts the stream and is returned as (false, err).
 //
 // Memory stays bounded regardless of how far behind `from` is: the backward
 // pass retains only one offset per version, and the forward pass re-reads
@@ -769,17 +765,29 @@ func (s *Store) StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs 
 		return false, err
 	}
 	ent, ok := s.idx[u]
-	seg := s.seg
+	gen := s.rewrites
 	s.mu.RUnlock()
 	if !ok || from >= ent.ver || ent.ver-from > maxStreamChain || ent.kind != recOps {
 		return false, nil
+	}
+	// Each read holds the read lock just for its pread, and fails once a
+	// rewrite has replaced the segment in place: the walk's offsets would
+	// then point into the new file.
+	read := func(off int64) (record, bool) {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		if s.rewrites != gen {
+			return record{}, false
+		}
+		rec, err := readRecordAt(s.seg, off)
+		return rec, err == nil
 	}
 	// Backward pass: collect each version's record offset via the chain.
 	offs := make([]int64, 0, ent.ver-from)
 	off, want := ent.off, ent.ver
 	for want > from {
-		rec, err := readRecordAt(seg, off)
-		if err != nil || rec.kind != recOps || rec.urn != u || rec.ver != want {
+		rec, ok := read(off)
+		if !ok || rec.kind != recOps || rec.urn != u || rec.ver != want {
 			return false, nil
 		}
 		offs = append(offs, off)
@@ -794,8 +802,8 @@ func (s *Store) StreamOpsSince(u urn.URN, from uint64, fn func(ver uint64, invs 
 	}
 	// Forward pass: replay oldest-first, handing each record to fn.
 	for i := len(offs) - 1; i >= 0; i-- {
-		rec, err := readRecordAt(seg, offs[i])
-		if err != nil || rec.kind != recOps {
+		rec, ok := read(offs[i])
+		if !ok || rec.kind != recOps {
 			return false, nil
 		}
 		if ferr := fn(rec.ver, rec.invs, rec.src, rec.obj); ferr != nil {
@@ -953,6 +961,11 @@ func (s *Store) LoadSnapshot(data []byte) error {
 	if err != nil {
 		return err
 	}
+	urns := make([]urn.URN, 0, len(objs))
+	for u := range objs {
+		urns = append(urns, u)
+	}
+	sort.Slice(urns, func(i, j int) bool { return urns[i].Less(urns[j]) })
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -964,23 +977,6 @@ func (s *Store) LoadSnapshot(data []byte) error {
 		}
 		s.cond.Wait()
 	}
-	s.compacting = true
-	for len(s.committing) > 0 {
-		s.cond.Wait()
-	}
-	defer func() {
-		s.compacting = false
-		s.cond.Broadcast()
-	}()
-	if err := s.drainLocked(); err != nil {
-		return err
-	}
-
-	urns := make([]urn.URN, 0, len(objs))
-	for u := range objs {
-		urns = append(urns, u)
-	}
-	sort.Slice(urns, func(i, j int) bool { return urns[i].Less(urns[j]) })
 	err = s.rewriteLocked(func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error {
 		for _, u := range urns {
 			obj := objs[u]
@@ -1017,17 +1013,6 @@ func (s *Store) maybeCompact() {
 		s.mutsSinceCompact = 0
 		return
 	}
-	s.compacting = true
-	defer func() {
-		s.compacting = false
-		s.cond.Broadcast()
-	}()
-	for len(s.committing) > 0 {
-		s.cond.Wait()
-	}
-	if s.drainLocked() != nil {
-		return
-	}
 	err := s.rewriteLocked(func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error {
 		urns := make([]urn.URN, 0, len(s.idx))
 		for u := range s.idx {
@@ -1061,15 +1046,21 @@ func (s *Store) maybeCompact() {
 	}
 }
 
-// rewriteLocked builds a fresh segment at path+".compact" via write, makes
-// it durable, renames it over the live path, and swaps index and segment.
-// Called with mu held and the compaction gate up (no committers in
-// flight). On error the old segment stays live and the tmp file is
-// removed.
+// rewriteLocked raises the compaction gate, waits out in-flight committers
+// and drains staged records, then rewrites the segment in place through the
+// segment's durable replace — write fills the fresh file, an index footer
+// follows — and swaps in the index it built. Called with mu held and the
+// gate down. On error the old segment and index stay live.
 func (s *Store) rewriteLocked(write func(tmp *stable.SegmentFile, add func(urn.URN, idxEnt)) error) error {
-	tmpPath := s.path + ".compact"
-	tmp, err := stable.CreateSegmentFile(tmpPath, stable.Options{Compress: s.opts.Compress})
-	if err != nil {
+	s.compacting = true
+	defer func() {
+		s.compacting = false
+		s.cond.Broadcast()
+	}()
+	for len(s.committing) > 0 {
+		s.cond.Wait()
+	}
+	if err := s.drainLocked(); err != nil {
 		return err
 	}
 	newIdx := make(map[urn.URN]idxEnt, len(s.idx))
@@ -1078,32 +1069,22 @@ func (s *Store) rewriteLocked(write func(tmp *stable.SegmentFile, add func(urn.U
 		newIdx[u] = ent
 		live += ent.rlen
 	}
-	abort := func(err error) error {
-		tmp.Close()
-		addStats(&s.segBase, tmp.Stats())
-		os.Remove(tmpPath)
+	var foot footerInfo
+	err := s.seg.Replace(func(tmp *stable.SegmentFile) error {
+		if err := write(tmp, add); err != nil {
+			return err
+		}
+		var err error
+		foot, err = appendFooter(tmp, newIdx)
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	if err := write(tmp, add); err != nil {
-		return abort(err)
-	}
-	foot, err := appendFooter(tmp, newIdx)
-	if err != nil {
-		return abort(err)
-	}
-	if err := tmp.Commit(); err != nil {
-		return abort(err)
-	}
-	if err := tmp.Rename(s.path); err != nil {
-		return abort(err)
-	}
-	old := s.seg
-	s.seg = tmp
-	old.Close()
-	addStats(&s.segBase, old.Stats())
+	s.rewrites++
 	s.idx = newIdx
 	s.liveBytes = live
-	s.segFooterBytes = tmp.Size() - foot.off
+	s.segFooterBytes = s.seg.Size() - foot.off
 	s.mutsSinceCompact = 0
 	// Point the sidecar at the fresh footer; a failed write just means the
 	// next Open scans (writeSidecar already removed the stale pointer).
@@ -1132,25 +1113,13 @@ func (s *Store) Occupancy() store.Occupancy {
 
 // SegmentStats returns the store's stable-log counters (appends, syncs,
 // bytes) — fsync-economics accounting for stats lines and benchmarks. They
-// are cumulative over the store's lifetime: the counters of segments that
-// compaction and LoadSnapshot retired are carried into the total, and the
-// rewrites' own writes and fsyncs count too.
+// are cumulative over the store's lifetime: compaction and LoadSnapshot
+// rewrite the segment in place, and the rewrites' own writes and fsyncs
+// count too.
 func (s *Store) SegmentStats() stable.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t := s.segBase
-	addStats(&t, s.seg.Stats())
-	return t
-}
-
-func addStats(dst *stable.Stats, st stable.Stats) {
-	dst.Appends += st.Appends
-	dst.Removes += st.Removes
-	dst.Syncs += st.Syncs
-	dst.SyncNanos += st.SyncNanos
-	dst.BytesWritten += st.BytesWritten
-	dst.BytesLogical += st.BytesLogical
-	dst.Compactions += st.Compactions
+	return s.seg.Stats()
 }
 
 // TornTail reports the torn trailing record recovery truncated at Open

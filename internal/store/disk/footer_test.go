@@ -404,3 +404,34 @@ func TestStreamOpsSinceAfterCompaction(t *testing.T) {
 		t.Fatalf("post-compaction stream: %d steps ok=%v err=%v, want 5", n, ok, err)
 	}
 }
+
+// TestStreamOpsSinceStopsAtReplace: a rewrite that lands mid-walk replaces
+// the segment's file in place, so the walk's remaining offsets point into
+// the new file. Here the new file is rebuilt with the same records at the
+// same offsets, so only the rewrite itself can tell the walk to stop: it
+// must end with ok=false (the caller's full-state fallback).
+func TestStreamOpsSinceStopsAtReplace(t *testing.T) {
+	s := openStore(t, t.TempDir(), Options{})
+	empty := s.Snapshot()
+	o := obj("chain")
+	build := func() {
+		if err := s.Create(o.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		bumpOps(t, s, o.URN, 20)
+	}
+	build()
+	calls := 0
+	ok, err := s.StreamOpsSince(o.URN, 1, func(uint64, []rdo.Invocation, string, []byte) error {
+		if calls++; calls == 1 {
+			if err := s.LoadSnapshot(empty); err != nil {
+				return err
+			}
+			build()
+		}
+		return nil
+	})
+	if ok || err != nil || calls != 1 {
+		t.Fatalf("stream across a mid-walk rewrite: ok=%v err=%v after %d steps, want a fallback after 1", ok, err, calls)
+	}
+}
